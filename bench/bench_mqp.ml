@@ -8,6 +8,7 @@ module Mqp = Xy_core.Mqp
 module Aes = Xy_core.Aes
 module Aes_compact = Xy_core.Aes_compact
 module Partition = Xy_core.Partition
+module Matcher = Xy_core.Matcher
 module Event_set = Xy_events.Event_set
 
 let docs_for_timing = 200
@@ -306,8 +307,10 @@ let tbl_algo scale =
     | Quick -> [ 10_000; 100_000 ]
     | Default | Paper -> [ 10_000; 100_000; 1_000_000 ]
   in
-  let algorithms =
-    [ ("aes", Mqp.Use_aes); ("naive", Mqp.Use_naive); ("counting", Mqp.Use_counting) ]
+  (* The baselines are not production matchers: every algorithm is
+     timed through its bare [match_set], none through the MQP. *)
+  let algorithms : (module Matcher.S) list =
+    [ (module Aes); (module Xy_core.Naive); (module Xy_core.Counting) ]
   in
   let rows =
     List.map
@@ -316,9 +319,16 @@ let tbl_algo scale =
         let docs = Workload.document_sets workload ~seed:13 ~count:docs_for_timing in
         let cells =
           List.map
-            (fun (_, algorithm) ->
-              let mqp = Workload.load_mqp ~algorithm workload ~seed:29 in
-              Printf.sprintf "%.1f" (microseconds (time_match_set mqp docs)))
+            (fun (module M : Matcher.S) ->
+              let m = M.create () in
+              Array.iteri
+                (fun id set -> M.add m ~id set)
+                (Workload.complex_events workload ~seed:29);
+              let per_doc =
+                time_per_unit ~units:(Array.length docs) (fun () ->
+                    Array.iter (fun events -> ignore (M.match_set m events)) docs)
+              in
+              Printf.sprintf "%.1f" (microseconds per_doc))
             algorithms
         in
         (string_of_int card_c
@@ -327,7 +337,9 @@ let tbl_algo scale =
       card_cs
   in
   print_table ~title:"time per document (us) per algorithm"
-    ~header:([ "Card(C)"; "k" ] @ List.map fst algorithms)
+    ~header:
+      ([ "Card(C)"; "k" ]
+      @ List.map (fun (module M : Matcher.S) -> M.name) algorithms)
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -372,9 +384,9 @@ let tbl_dist scale =
                full flow but holds 1/p of the structure. *)
             let per_machine_rate =
               match axis with
-              | Partition.By_documents ->
+              | Partition.Split_documents ->
                   float_of_int partitions /. per_doc
-              | Partition.By_subscriptions ->
+              | Partition.Split_subscriptions ->
                   (* every partition processes all docs, in parallel:
                      aggregate wall time ~ slowest partition; the
                      sequential measurement sums them *)
@@ -388,7 +400,7 @@ let tbl_dist scale =
               Printf.sprintf "%.1f" (megabytes max_memory);
             ])
           [ 1; 2; 4; 8 ])
-      [ ("documents", Partition.By_documents); ("subscriptions", Partition.By_subscriptions) ]
+      [ ("documents", Partition.Split_documents); ("subscriptions", Partition.Split_subscriptions) ]
   in
   print_table
     ~title:

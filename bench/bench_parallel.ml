@@ -8,7 +8,7 @@
 open Harness
 module Xyleme = Xy_system.Xyleme
 module Parallel = Xy_system.Parallel
-module Distributed = Xy_system.Distributed
+module Partition = Xy_core.Partition
 module Web = Xy_crawler.Synthetic_web
 module Sink = Xy_reporter.Sink
 module Loader = Xy_warehouse.Loader
@@ -151,11 +151,11 @@ let tbl_par_e2e scale =
     List.map
       (fun (domains, axis, label) -> run_config ~scale ~domains ~axis ~label)
       [
-        (1, Distributed.Split_documents, "domains=1");
-        (2, Distributed.Split_documents, "domains=2");
-        (4, Distributed.Split_documents, "domains=4");
-        (8, Distributed.Split_documents, "domains=8");
-        (4, Distributed.Split_subscriptions, "subs/domains=4");
+        (1, Partition.Split_documents, "domains=1");
+        (2, Partition.Split_documents, "domains=2");
+        (4, Partition.Split_documents, "domains=4");
+        (8, Partition.Split_documents, "domains=8");
+        (4, Partition.Split_subscriptions, "subs/domains=4");
       ]
   in
   print_table ~title:"batched pipeline rate vs loader domains (shards = domains)"

@@ -445,8 +445,8 @@ let algorithm_arg =
     & info [ "algorithm" ] ~docv:"ALG"
         ~doc:
           "Matching algorithm for the query processor: $(b,aes) (the paper's \
-           hash-tree), $(b,aes-compact) (frozen flat arrays + delta \
-           overlay), $(b,naive) or $(b,counting)")
+           hash-tree) or $(b,aes-compact) (frozen flat arrays + delta \
+           overlay)")
 
 let durable_arg =
   Arg.(
@@ -577,10 +577,10 @@ let axis_arg =
     & opt
         (enum
            [
-             ("docs", Xy_system.Distributed.Split_documents);
-             ("subs", Xy_system.Distributed.Split_subscriptions);
+             ("docs", Xy_core.Partition.Split_documents);
+             ("subs", Xy_core.Partition.Split_subscriptions);
            ])
-        Xy_system.Distributed.Split_documents
+        Xy_core.Partition.Split_documents
     & info [ "axis" ] ~docv:"AXIS"
         ~doc:
           "Distribution axis for the MQP shards (paper §4.2): $(b,docs) \
@@ -593,29 +593,37 @@ let no_steal_arg =
     & info [ "no-steal" ]
         ~doc:"Disable work stealing between skewed MQP shards")
 
-let parallel_of ~domains ~shards ~axis ~no_steal =
-  if domains <= 1 then None
-  else
-    Some
-      {
-        Xy_system.Parallel.default_config with
-        Xy_system.Parallel.domains;
-        shards = Option.value ~default:domains shards;
-        axis;
-        steal = not no_steal;
-      }
+(* The parallel-pipeline flags as one configuration, validated here so
+   that a bad one is a usage error rather than a crash at the first
+   crawl step. *)
+let parallel_arg =
+  let make domains shards axis no_steal =
+    if domains <= 1 then `Ok None
+    else
+      let config =
+        {
+          Xy_system.Parallel.default_config with
+          Xy_system.Parallel.domains;
+          shards = Option.value ~default:domains shards;
+          axis;
+          steal = not no_steal;
+        }
+      in
+      match Xy_system.Parallel.validate config with
+      | () -> `Ok (Some config)
+      | exception Invalid_argument msg -> `Error (true, msg)
+  in
+  Term.(ret (const make $ domains_arg $ shards_arg $ axis_arg $ no_steal_arg))
 
 let simulate_cmd =
   let run sites days subscriptions seed algorithm fault_plan verbose
       stats_flag trace_every durable_dir checkpoint_every kill_after restore
-      sync_every segment_kib slos telemetry_port serve_port linger domains
-      shards axis no_steal =
+      sync_every segment_kib slos telemetry_port serve_port linger parallel =
     if verbose then begin
       Logs.set_reporter (Logs.format_reporter ());
       Logs.set_level (Some Logs.Info)
     end;
     let trace_every = Option.value ~default:0 trace_every in
-    let parallel = parallel_of ~domains ~shards ~axis ~no_steal in
     let xyleme, accepted, delivered =
       run_simulation ~trace_every ~algorithm ?fault_plan ?durable_dir
         ~checkpoint_every ?kill_after ~restore ~sync_every
@@ -666,8 +674,7 @@ let simulate_cmd =
       $ algorithm_arg $ faults_arg $ verbose $ stats_flag $ trace_every
       $ durable_arg $ checkpoint_every_arg $ kill_after_arg $ restore_flag
       $ sync_every_arg $ segment_kib_arg $ slo_arg $ telemetry_arg
-      $ serve_port_arg $ linger_arg $ domains_arg $ shards_arg $ axis_arg
-      $ no_steal_arg)
+      $ serve_port_arg $ linger_arg $ parallel_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve — run the monitor as a long-lived wire-protocol server *)

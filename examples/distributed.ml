@@ -1,63 +1,129 @@
-(* Distributed monitoring: the paper's two scale-out axes (§4.2) run
-   as a real pipeline — feeder, one Monitoring Query Processor domain
-   per partition, collector — connected by message queues (the Corba
-   dataflow of Figure 3, in-process).
+(* Distributed monitoring: the paper's two scale-out axes (§4.2) on
+   real OCaml domains.  The same synthetic web and subscriptions run
+   through the full pipeline once serially and then on the parallel
+   engine — loader domains, Monitoring Query Processor shards, one
+   in-order drainer — splitting either the documents or the
+   subscriptions over the shards.  Every parallel run must deliver
+   exactly the serial run's notifications.
 
-   Run with:  dune exec examples/distributed.exe -- [--card-c N] [--docs N] *)
+   Run with:  dune exec examples/distributed.exe -- [--sites N] [--days D]
+                [--subscriptions N] [--domains N] [--shards N] *)
 
-module Distributed = Xy_system.Distributed
-module Workload = Xy_core.Workload
+module Xyleme = Xy_system.Xyleme
+module Parallel = Xy_system.Parallel
+module Partition = Xy_core.Partition
 module Mqp = Xy_core.Mqp
+module Web = Xy_crawler.Synthetic_web
+module Sink = Xy_reporter.Sink
+
+let subscription_text i ~sites =
+  let site = i mod sites in
+  match i mod 3 with
+  | 0 ->
+      Printf.sprintf
+        {|subscription PageWatch%d
+monitoring
+select <UpdatedPage url=URL/>
+where URL extends "http://site%d.example.org/" and modified self
+report when count > 5 atmost daily|}
+        i site
+  | 1 ->
+      Printf.sprintf
+        {|subscription ProductWatch%d
+monitoring
+where new self\\product contains "camera"
+  and URL extends "http://site%d.example.org/"
+report when immediate|}
+        i site
+  | _ ->
+      Printf.sprintf
+        {|subscription WordWatch%d
+monitoring
+where self contains "wireless" and URL extends "http://site%d.example.org/"
+report when count > 3 atmost weekly|}
+        i site
+
+(* One run from scratch: returns the sorted notification multiset, the
+   wall time of the crawl, and the documents fetched. *)
+let run ?parallel ~sites ~days ~subscriptions () =
+  let web = Web.generate ~seed:2026 ~sites ~pages_per_site:8 () in
+  let sink, _ = Sink.counting () in
+  let xyleme = Xyleme.create ~seed:7 ~sink ~web ?parallel () in
+  for i = 0 to subscriptions - 1 do
+    match
+      Xyleme.subscribe xyleme
+        ~owner:(Printf.sprintf "user%d@example.org" i)
+        ~text:(subscription_text i ~sites)
+    with
+    | Ok _ -> ()
+    | Error e -> failwith (Xy_submgr.Manager.error_to_string e)
+  done;
+  let notifications = ref [] in
+  Mqp.on_notify (Xyleme.mqp xyleme) (fun n ->
+      notifications := (n.Mqp.url, n.Mqp.complex_id) :: !notifications);
+  Xyleme.discover xyleme;
+  let start = Unix.gettimeofday () in
+  Xyleme.run xyleme ~days ~step:(6. *. 3600.) ~fetch_limit:500;
+  let wall = Unix.gettimeofday () -. start in
+  ( List.sort compare !notifications,
+    wall,
+    (Xyleme.stats xyleme).Xyleme.documents_fetched )
 
 let () =
-  let card_c = ref 100_000 and docs = ref 5_000 in
+  let sites = ref 12 and days = ref 14. and subscriptions = ref 300 in
+  let domains = ref 2 and shards = ref 2 in
   let rec parse = function
-    | "--card-c" :: n :: rest ->
-        card_c := int_of_string n;
+    | "--sites" :: n :: rest ->
+        sites := int_of_string n;
         parse rest
-    | "--docs" :: n :: rest ->
-        docs := int_of_string n;
+    | "--days" :: d :: rest ->
+        days := float_of_string d;
+        parse rest
+    | "--subscriptions" :: n :: rest ->
+        subscriptions := int_of_string n;
+        parse rest
+    | "--domains" :: n :: rest ->
+        domains := int_of_string n;
+        parse rest
+    | "--shards" :: n :: rest ->
+        shards := int_of_string n;
         parse rest
     | _ :: rest -> parse rest
     | [] -> ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-
-  (* A small atomic-event universe keeps k high so that documents
-     actually match subscriptions and notifications flow through the
-     collector stage. *)
-  let workload = { Workload.card_a = 2_000; card_c = !card_c; b = 3; s = 30 } in
-  let subscriptions =
-    Array.to_list
-      (Array.mapi (fun id events -> (id, events))
-         (Workload.complex_events workload ~seed:1))
-  in
-  let alerts =
-    Array.to_list
-      (Array.mapi
-         (fun i events ->
-           { Mqp.url = Printf.sprintf "http://doc%d/" i; events; payload = ""; trace = None; birth = None })
-         (Workload.document_sets workload ~seed:2 ~count:!docs))
-  in
+  let sites = !sites and days = !days and subscriptions = !subscriptions in
   Printf.printf
-    "workload: Card(C)=%d complex events, %d documents, %d cores recommended\n\n"
-    !card_c !docs
+    "workload: %d sites, %d subscriptions, %.0f simulated days, %d cores \
+     recommended\n\n"
+    sites subscriptions days
     (Domain.recommended_domain_count ());
-  Printf.printf "%-15s %-10s %-10s %-12s %s\n" "axis" "partitions" "wall s"
-    "docs/s" "notifications";
+  Printf.printf "%-15s %-8s %-7s %-9s %-10s %-14s %s\n" "axis" "domains"
+    "shards" "wall s" "docs/s" "notifications" "= serial";
+  let expected, wall, fetched = run ~sites ~days ~subscriptions () in
+  Printf.printf "%-15s %-8d %-7d %-9.3f %-10.0f %-14d %s\n%!" "serial" 1 1 wall
+    (float_of_int fetched /. wall)
+    (List.length expected) "-";
+  let all_equal = ref true in
   List.iter
     (fun (label, axis) ->
-      List.iter
-        (fun partitions ->
-          let result =
-            Distributed.run ~axis ~partitions ~subscriptions ~alerts ()
-          in
-          Printf.printf "%-15s %-10d %-10.3f %-12.0f %d\n%!" label partitions
-            result.Distributed.wall_seconds
-            (float_of_int !docs /. result.Distributed.wall_seconds)
-            (List.length result.Distributed.notifications))
-        [ 1; 2; 4 ])
+      let parallel =
+        { Parallel.default_config with
+          domains = !domains; shards = !shards; axis }
+      in
+      let got, wall, fetched = run ~parallel ~sites ~days ~subscriptions () in
+      let same = got = expected in
+      if not same then all_equal := false;
+      Printf.printf "%-15s %-8d %-7d %-9.3f %-10.0f %-14d %s\n%!" label
+        !domains !shards wall
+        (float_of_int fetched /. wall)
+        (List.length got)
+        (if same then "yes" else "NO"))
     [
-      ("documents", Distributed.Split_documents);
-      ("subscriptions", Distributed.Split_subscriptions);
-    ]
+      ("documents", Partition.Split_documents);
+      ("subscriptions", Partition.Split_subscriptions);
+    ];
+  if not !all_equal then begin
+    prerr_endline "parallel notifications differ from the serial run";
+    exit 1
+  end

@@ -4,7 +4,10 @@
     ordered set of atomic-event codes, identified by an integer id —
     and answers, for each incoming ordered event set [S], the ids of
     every complex event [c ⊆ S] (§4.1: determine
-    [{i | c_i ⊆ S_j}]).  Three implementations are provided:
+    [{i | c_i ⊆ S_j}]).  Four implementations are provided; the
+    first two are the production matchers selectable in {!Mqp}, the
+    last two the paper's rejected baselines, kept as test oracles and
+    for the algorithm-comparison benches:
 
     - {!Aes}: the paper's "Atomic Event Sets" hash-tree (§4.2);
     - {!Aes_compact}: the same algorithm over a frozen flat-array

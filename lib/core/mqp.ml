@@ -8,16 +8,13 @@ type alert = {
   birth : float option;
 }
 type notification = { complex_id : int; url : string; payload : string }
-type algorithm = Use_aes | Use_aes_compact | Use_naive | Use_counting
+type algorithm = Use_aes | Use_aes_compact
 
 let algorithm_name_of = function
   | Use_aes -> Aes.name
   | Use_aes_compact -> Aes_compact.name
-  | Use_naive -> Naive.name
-  | Use_counting -> Counting.name
 
-let algorithms =
-  [ Use_aes; Use_aes_compact; Use_naive; Use_counting ]
+let algorithms = [ Use_aes; Use_aes_compact ]
 
 let algorithm_of_name name =
   List.find_opt (fun a -> algorithm_name_of a = name) algorithms
@@ -49,20 +46,15 @@ type t = {
   metrics : metrics;
 }
 
-let pack (type a) (module M : Matcher.S with type t = a) =
-  Packed ((module M), M.create ())
-
 let stage = "mqp"
 
 let create ?(algorithm = Use_aes) ?(obs = Obs.default) () =
   let matcher, compact =
     match algorithm with
-    | Use_aes -> (pack (module Aes), None)
+    | Use_aes -> (Packed ((module Aes), Aes.create ()), None)
     | Use_aes_compact ->
         let c = Aes_compact.create () in
         (Packed ((module Aes_compact), c), Some c)
-    | Use_naive -> (pack (module Naive), None)
-    | Use_counting -> (pack (module Counting), None)
   in
   {
     matcher;
@@ -111,12 +103,9 @@ let iter_complex t f =
   M.iter m f
 
 (* Bare matching against the structure: no metrics, no stats, no
-   listeners.  This is the shard-side half of {!process} — safe to
-   call from several domains at once as long as no concurrent
-   subscribe/unsubscribe runs AND the algorithm's [match_set] is
-   read-only (aes, aes-compact, naive; NOT counting, whose scratch
-   counters are part of the structure — the parallel pipeline gives
-   counting shards full replicas instead).  The matchers' internal
+   listeners, no span — safe to call from several domains at once as
+   long as no concurrent subscribe/unsubscribe runs (both production
+   matchers are read-only under [match_set]).  The matchers' internal
    probe counters are plain fields, so concurrent readers may
    undercount probes; they never corrupt the structure. *)
 let match_readonly t events =
@@ -148,15 +137,17 @@ let dispatch_matched t alert ~matched ~latency =
     List.iter (fun listener -> listener alert matched) t.batch_listeners;
   matched
 
-let process t alert =
+(* [match_readonly] inside the alert's [mqp/match] span: the matching
+   half of {!process}, which the parallel engine's shard domains run
+   too, so a sampled document's trace shows its match wherever it
+   ran.  Span completion is domain-safe. *)
+let match_alert t alert =
   let span =
     Option.map
       (fun ctx -> Xy_trace.Trace.begin_span ctx ~stage:"mqp" ~name:"match")
       alert.trace
   in
-  let t0 = Obs.now () in
   let matched = match_readonly t alert.events in
-  let latency = Obs.now () -. t0 in
   Option.iter
     (Xy_trace.Trace.end_span
        ~attrs:
@@ -165,7 +156,12 @@ let process t alert =
            ("matched", string_of_int (List.length matched));
          ])
     span;
-  dispatch_matched t alert ~matched ~latency
+  matched
+
+let process t alert =
+  let t0 = Obs.now () in
+  let matched = match_alert t alert in
+  dispatch_matched t alert ~matched ~latency:(Obs.now () -. t0)
 
 let on_notify t listener = t.listeners <- listener :: t.listeners
 let on_batch t listener = t.batch_listeners <- listener :: t.batch_listeners

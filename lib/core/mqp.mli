@@ -29,7 +29,10 @@ type notification = {
   payload : string;
 }
 
-type algorithm = Use_aes | Use_aes_compact | Use_naive | Use_counting
+(** The production matchers.  The paper's rejected baselines
+    ({!Naive}, {!Counting}) implement {!Matcher.S} for tests and
+    benches but are not selectable here. *)
+type algorithm = Use_aes | Use_aes_compact
 
 (** [algorithm_of_name "aes-compact"] etc. — the inverse of each
     matcher's [name], for command-line plumbing. *)
@@ -53,7 +56,7 @@ val algorithm_name : t -> string
 
 (** [freeze t] forces an {!Aes_compact.freeze} when the processor
     runs the compact algorithm (e.g. after bulk subscription load);
-    a no-op for every other algorithm. *)
+    a no-op under {!Use_aes}. *)
 val freeze : t -> unit
 
 (** [compact_stats t] is the compact structure's freeze/delta
@@ -73,7 +76,7 @@ val process : t -> alert -> int list
 
 (** {2 Split matching — the parallel pipeline's surface}
 
-    {!process} = {!match_readonly} + {!dispatch_matched}.  The sharded
+    {!process} = {!match_alert} + {!dispatch_matched}.  The sharded
     crawl pipeline matches on shard domains and dispatches at its
     single drainer, so instruments, stats and listeners fire exactly
     once per alert, in document order, on one domain — identical to
@@ -81,12 +84,13 @@ val process : t -> alert -> int list
 
 (** [match_readonly t events] is the bare sorted match list: no
     metrics, no stats, no listeners.  Safe to call concurrently from
-    several domains provided no subscribe/unsubscribe runs meanwhile
-    and the algorithm's matcher is read-only under [match_set] (aes,
-    aes-compact and naive are; counting is not — its per-call scratch
-    counters live in the structure, so give each concurrent reader its
-    own replica). *)
+    several domains provided no subscribe/unsubscribe runs meanwhile. *)
 val match_readonly : t -> Xy_events.Event_set.t -> int list
+
+(** [match_alert t alert] is {!match_readonly} on the alert's events,
+    recorded as an [mqp/match] span on the alert's trace when it
+    carries one.  Same concurrency contract as {!match_readonly}. *)
+val match_alert : t -> alert -> int list
 
 (** [dispatch_matched t alert ~matched ~latency] records the per-alert
     instruments (with [latency] as the match-latency sample), updates

@@ -1,10 +1,10 @@
-type axis = By_documents | By_subscriptions
+type axis = Split_documents | Split_subscriptions
 
 (* The two placement functions of §4.2, shared by every sharded
-   consumer (this in-process router, [Distributed], and the system's
-   parallel crawl pipeline): documents spread by URL hash, complex
-   events by id.  Both are pure so that any routing decision can be
-   re-derived identically on any domain. *)
+   consumer (this in-process router and the system's parallel crawl
+   pipeline): documents spread by URL hash, complex events by id.
+   Both are pure so that any routing decision can be re-derived
+   identically on any domain. *)
 let slot_of_url ~partitions url =
   if partitions <= 0 then invalid_arg "Partition.slot_of_url: partitions <= 0";
   Int64.to_int
@@ -28,16 +28,16 @@ let partitions t = Array.length t.instances
 
 let subscribe t ~id events =
   match t.axis with
-  | By_documents ->
+  | Split_documents ->
       Array.iter (fun mqp -> Mqp.subscribe mqp ~id events) t.instances
-  | By_subscriptions ->
+  | Split_subscriptions ->
       let slot = slot_of_subscription ~partitions:(Array.length t.instances) id in
       Mqp.subscribe t.instances.(slot) ~id events
 
 let unsubscribe t ~id =
   match t.axis with
-  | By_documents -> Array.iter (fun mqp -> Mqp.unsubscribe mqp ~id) t.instances
-  | By_subscriptions ->
+  | Split_documents -> Array.iter (fun mqp -> Mqp.unsubscribe mqp ~id) t.instances
+  | Split_subscriptions ->
       Mqp.unsubscribe
         t.instances.(slot_of_subscription ~partitions:(Array.length t.instances) id)
         ~id
@@ -47,13 +47,13 @@ let doc_slot t (alert : Mqp.alert) =
 
 let route t alert =
   match t.axis with
-  | By_documents -> [ doc_slot t alert ]
-  | By_subscriptions -> List.init (Array.length t.instances) Fun.id
+  | Split_documents -> [ doc_slot t alert ]
+  | Split_subscriptions -> List.init (Array.length t.instances) Fun.id
 
 let process t alert =
   match t.axis with
-  | By_documents -> Mqp.process t.instances.(doc_slot t alert) alert
-  | By_subscriptions ->
+  | Split_documents -> Mqp.process t.instances.(doc_slot t alert) alert
+  | Split_subscriptions ->
       let all =
         Array.fold_left
           (fun acc mqp -> List.rev_append (Mqp.process mqp alert) acc)

@@ -9,13 +9,16 @@
 
     Both axes are simulated in-process: each partition is an
     independent {!Mqp.t}, and the router below reproduces the data
-    placement each axis implies. *)
+    placement each axis implies.  The same {!axis} type and placement
+    functions drive the real multi-domain engine
+    ([Xy_system.Parallel]). *)
 
+(** How alerts are routed to processor partitions. *)
 type axis =
-  | By_documents
+  | Split_documents
       (** every partition holds all subscriptions; each alert is routed
           to exactly one partition (hash of the URL) *)
-  | By_subscriptions
+  | Split_subscriptions
       (** subscriptions are spread over partitions; each alert is sent
           to all partitions and the matches are merged *)
 
@@ -42,7 +45,7 @@ val unsubscribe : t -> id:int -> unit
 val process : t -> Mqp.alert -> int list
 
 (** [route t alert] is the list of partition indexes the alert visits
-    (1 for [By_documents], all for [By_subscriptions]). *)
+    (1 for [Split_documents], all for [Split_subscriptions]). *)
 val route : t -> Mqp.alert -> int list
 
 (** [memory_per_partition t] is the approximate footprint of each

@@ -19,8 +19,9 @@
 
 (** {2 Time source} *)
 
-(** [set_timer f] installs the wall-clock used by {!Histogram.time}
-    and snapshot timestamps.  Defaults to [Sys.time]. *)
+(** [set_timer f] installs the process wall clock: {!Histogram.time},
+    snapshot timestamps and [xy_trace] spans all read it through
+    {!now}.  Defaults to [Sys.time]. *)
 val set_timer : (unit -> float) -> unit
 
 val now : unit -> float

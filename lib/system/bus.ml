@@ -75,7 +75,7 @@ let push_message t message =
       observe_blocked t ~blocked_since
   in
   wait ~blocked_since:None;
-  Queue.push (message, Trace.now ()) t.queue;
+  Queue.push (message, Obs.now ()) t.queue;
   Obs.Counter.incr t.metrics.m_pushed;
   Obs.Gauge.set_int t.metrics.m_depth (Queue.length t.queue);
   Condition.signal t.not_empty;
@@ -108,7 +108,7 @@ let pop t =
           Trace.record ctx ~stage ~name:"wait"
             ~attrs:[ ("bus", t.name) ]
             ~start_wall:enqueued_at
-            ~dur_wall:(Trace.now () -. enqueued_at)
+            ~dur_wall:(Obs.now () -. enqueued_at)
             ()
       | None -> ());
       Some message
@@ -141,7 +141,7 @@ let try_pop t =
         Trace.record ctx ~stage ~name:"wait"
           ~attrs:[ ("bus", t.name) ]
           ~start_wall:enqueued_at
-          ~dur_wall:(Trace.now () -. enqueued_at)
+          ~dur_wall:(Obs.now () -. enqueued_at)
           ()
     | None -> ());
     Some message

@@ -3,7 +3,7 @@
     The paper's modules run on a cluster and communicate through Corba
     (§2.1); here the same dataflow decoupling is provided by bounded
     blocking queues safe across OCaml domains, so the pipeline stages
-    of {!Distributed} can run on separate cores with the same
+    of {!Parallel} can run on separate cores with the same
     producer/consumer contract a remote transport would give. *)
 
 type 'a t

@@ -1,151 +1,4 @@
-module Mqp = Xy_core.Mqp
-module Obs = Xy_obs.Obs
-module Fault = Xy_fault.Fault
-
-type axis = Split_documents | Split_subscriptions
-
-let stage = "distributed"
-
-type result = {
-  notifications : (string * int) list;
-  alerts_processed : int;
-  worker_deaths : int;
-  worker_respawns : int;
-  wall_seconds : float;
-}
-
-(* A worker domain either drains its inbox to the end or "dies" (the
-   [worker] failure point) holding the alert it had just taken; the
-   supervisor respawns a fresh domain on the same inbox, handing the
-   in-flight alert over so no work is lost. *)
-type worker_exit = Finished | Died of Mqp.alert
-
-let run ?algorithm ?(obs = Obs.default) ?(faults = Fault.none)
-    ?(capacity = 256) ~axis ~partitions ~subscriptions ~alerts () =
-  if partitions <= 0 then invalid_arg "Distributed.run: partitions <= 0";
-  Wall.install_timers ();
-  let m_routed = Obs.counter obs ~stage "alerts_routed" in
-  let m_notifications = Obs.counter obs ~stage "notifications" in
-  let m_partitions = Obs.gauge obs ~stage "partitions" in
-  let m_worker_span = Obs.histogram obs ~stage "worker_span" in
-  let m_deaths = Obs.counter obs ~stage:"fault" "worker_deaths" in
-  let m_respawns = Obs.counter obs ~stage:"fault" "worker_respawns" in
-  Obs.Gauge.set_int m_partitions partitions;
-  (* Build the per-partition processors (outside the timed region —
-     structure construction is deployment, not steady state). *)
-  let mqps =
-    Array.init partitions (fun slot ->
-        let mqp = Mqp.create ?algorithm ~obs () in
-        List.iter
-          (fun (id, events) ->
-            match axis with
-            | Split_documents -> Mqp.subscribe mqp ~id events
-            | Split_subscriptions ->
-                if id mod partitions = slot then Mqp.subscribe mqp ~id events)
-          subscriptions;
-        mqp)
-  in
-  let inboxes : Mqp.alert Bus.t array =
-    Array.init partitions (fun _ ->
-        Bus.create ~capacity ~obs ~name:"inbox"
-          ~trace_of:(fun alert -> alert.Mqp.trace)
-          ())
-  in
-  (* One outbox message per processed alert carrying the whole match
-     batch ("all the complex events are detected on a document
-     simultaneously and thus are sent ... in one batch"), not one push
-     per notification: at high match rates the per-notification push
-     made the shared outbox the contention point. *)
-  let outbox : (string * int list) Bus.t =
-    Bus.create ~capacity:1024 ~obs ~name:"outbox" ()
-  in
-  (* Padded: each worker bumps its own slot from its own domain; a
-     dense array put the slots on shared cache lines. *)
-  let processed = Pad.create partitions in
-  let deaths = ref 0 in
-  let respawns = ref 0 in
-  let start = Unix.gettimeofday () in
-  (* Processor domains.  [carried] is the alert a predecessor died
-     holding: the respawned worker processes it before draining the
-     inbox, so a death redistributes work instead of losing it. *)
-  let spawn_worker slot ~carried =
-    Domain.spawn (fun () ->
-        Obs.Histogram.time m_worker_span @@ fun () ->
-        let mqp = mqps.(slot) in
-        let process alert =
-          Pad.incr processed slot;
-          match Mqp.process mqp alert with
-          | [] -> ()
-          | ids ->
-              Obs.Counter.add m_notifications (List.length ids);
-              Bus.push outbox (alert.Mqp.url, ids)
-        in
-        let rec loop carried =
-          let next =
-            match carried with Some alert -> Some alert | None -> Bus.pop inboxes.(slot)
-          in
-          match next with
-          | None -> Finished
-          | Some alert ->
-              if Fault.fire faults "worker" then begin
-                Obs.Counter.incr m_deaths;
-                Died alert
-              end
-              else begin
-                process alert;
-                loop None
-              end
-        in
-        loop carried)
-  in
-  let workers =
-    Array.init partitions (fun slot -> spawn_worker slot ~carried:None)
-  in
-  (* Collector domain. *)
-  let collector =
-    Domain.spawn (fun () ->
-        let rec loop acc =
-          match Bus.pop outbox with
-          | None -> acc
-          | Some (url, ids) ->
-              loop (List.fold_left (fun acc id -> (url, id) :: acc) acc ids)
-        in
-        loop [])
-  in
-  (* Feeder: route per the axis. *)
-  let route (alert : Mqp.alert) =
-    Obs.Counter.incr m_routed;
-    match axis with
-    | Split_documents ->
-        let slot = Xy_core.Partition.slot_of_url ~partitions alert.Mqp.url in
-        Bus.push inboxes.(slot) alert
-    | Split_subscriptions ->
-        Array.iter (fun inbox -> Bus.push inbox alert) inboxes
-  in
-  List.iter route alerts;
-  Array.iter Bus.close inboxes;
-  (* Supervision: join each worker; a death hands its in-flight alert
-     to a fresh domain on the same (closed, still-draining) inbox.
-     Feeding has finished by now, so respawning at join time cannot
-     starve a producer. *)
-  let rec supervise slot domain =
-    match Domain.join domain with
-    | Finished -> ()
-    | Died carried ->
-        incr deaths;
-        incr respawns;
-        Obs.Counter.incr m_respawns;
-        supervise slot (spawn_worker slot ~carried:(Some carried))
-  in
-  Array.iteri supervise workers;
-  Bus.close outbox;
-  let notifications = Domain.join collector in
-  let wall_seconds = Unix.gettimeofday () -. start in
-  let alerts_processed = Pad.total processed in
-  {
-    notifications;
-    alerts_processed;
-    worker_deaths = !deaths;
-    worker_respawns = !respawns;
-    wall_seconds;
-  }
+(* The §4.2 distribution axis, re-exported under its historical name
+   for callers that predate {!Xy_core.Partition.axis}.  The engine that
+   runs either axis on real domains is {!Parallel}. *)
+type axis = Xy_core.Partition.axis = Split_documents | Split_subscriptions

@@ -5,14 +5,23 @@ module Obs = Xy_obs.Obs
 type config = {
   domains : int;  (** loader workers *)
   shards : int;  (** monitoring-query-processor shards *)
-  axis : Distributed.axis;
+  axis : Partition.axis;
   steal : bool;
   capacity : int;  (** per-stage bus capacity (backpressure) *)
 }
 
 let default_config =
-  { domains = 1; shards = 1; axis = Distributed.Split_documents; steal = true;
+  { domains = 1; shards = 1; axis = Partition.Split_documents; steal = true;
     capacity = 64 }
+
+let validate { domains; shards; capacity; _ } =
+  let positive name n =
+    if n <= 0 then
+      invalid_arg (Printf.sprintf "parallel %s must be positive, got %d" name n)
+  in
+  positive "domains" domains;
+  positive "shards" shards;
+  positive "capacity" capacity
 
 type stats = {
   p_deaths : int;
@@ -55,9 +64,8 @@ let stage = "bus"
 
 let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
     ~drain () =
+  validate config;
   let { domains; shards; axis; steal; capacity } = config in
-  if domains <= 0 then invalid_arg "Parallel.run: domains <= 0";
-  if shards <= 0 then invalid_arg "Parallel.run: shards <= 0";
   let len = Array.length docs in
   if Array.length kill <> len then invalid_arg "Parallel.run: kill length";
   Wall.install_timers ();
@@ -112,7 +120,7 @@ let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
                   | None -> ()
                   | Some (alert : Mqp.alert) -> (
                       match axis with
-                      | Distributed.Split_documents ->
+                      | Partition.Split_documents ->
                           let dest =
                             Partition.slot_of_url ~partitions:shards
                               alert.Mqp.url
@@ -120,7 +128,7 @@ let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
                           Bus.push shard_inboxes.(dest)
                             { s_idx = idx; s_slot = dest; s_alert = alert;
                               s_kill = kill.(idx) }
-                      | Distributed.Split_subscriptions ->
+                      | Partition.Split_subscriptions ->
                           (* Broadcast; the kill flag rides exactly one
                              copy so a fault draw costs one death. *)
                           for dest = 0 to shards - 1 do
@@ -145,7 +153,7 @@ let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
     Domain.spawn (fun () ->
         let process item =
           let t0 = Obs.now () in
-          let matched = shard_match ~slot ~dest:item.s_slot item.s_alert in
+          let matched = shard_match ~dest:item.s_slot item.s_alert in
           let latency = Obs.now () -. t0 in
           Bus.push results (Matched (item.s_idx, matched, latency))
         in
@@ -219,9 +227,10 @@ let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
         { c_outcome = None; c_has_alert = false; c_partials = [];
           c_partial_count = 0; c_latency = 0. })
   in
-  let needed = match axis with
-    | Distributed.Split_documents -> 1
-    | Distributed.Split_subscriptions -> shards
+  let needed =
+    match axis with
+    | Partition.Split_documents -> 1
+    | Partition.Split_subscriptions -> shards
   in
   let complete c =
     c.c_outcome <> None && ((not c.c_has_alert) || c.c_partial_count >= needed)

@@ -28,13 +28,19 @@
 type config = {
   domains : int;  (** loader workers (the crawl/warehouse stage) *)
   shards : int;  (** monitoring-query-processor shards *)
-  axis : Distributed.axis;
+  axis : Xy_core.Partition.axis;
   steal : bool;  (** idle shards steal half the longest sibling inbox *)
   capacity : int;  (** per-stage bus capacity (backpressure) *)
 }
 
 (** [domains = 1]: callers treat a single domain as "stay serial". *)
 val default_config : config
+
+(** [validate config] raises [Invalid_argument] unless [domains],
+    [shards] and [capacity] are all positive.  Systems check a
+    configuration when they install it, so a bad one is rejected up
+    front rather than at the first batch. *)
+val validate : config -> unit
 
 type stats = {
   p_deaths : int;  (** shard workers killed by the [worker] fault point *)
@@ -45,7 +51,8 @@ type stats = {
 
 (** [run config ~docs ~kill ~url_of ~worker ~shard_match ~drain ()]
     processes one batch and returns once every document has been
-    drained and every spawned domain joined.
+    drained and every spawned domain joined.  Raises
+    [Invalid_argument] if [config] fails {!validate}.
 
     - [kill.(i)] arms the worker-death fault on document [i]'s alert
       (pre-drawn serially by the caller — fault accounting is not
@@ -56,12 +63,11 @@ type stats = {
       raise, and must touch only per-slot or internally synchronized
       state.  Returns the outcome handed to [drain] plus the alert to
       match, if any.
-    - [shard_match ~slot ~dest alert] runs on shard domain [slot];
-      [dest] is the shard the alert was routed to, which differs from
-      [slot] when the work was stolen.  Subscription-axis callers must
-      select the [dest] subset; document-axis callers use [slot]'s
-      (interchangeable) matcher so stealing stays safe even for
-      matchers that are not concurrent-read-safe.
+    - [shard_match ~dest alert] runs on a shard domain; [dest] is the
+      shard the alert was routed to, whichever shard executes it (work
+      may be stolen).  Subscription-axis callers must select the
+      [dest] subset; document-axis callers may match against one
+      shared structure.
     - [drain idx outcome matched] runs on the caller's domain, in
       strictly increasing [idx] order; [matched] is the merged match
       list and summed match latency when the document alerted.  If it
@@ -79,7 +85,7 @@ val run :
   kill:bool array ->
   url_of:('d -> string) ->
   worker:(slot:int -> 'd -> 'r * Xy_core.Mqp.alert option) ->
-  shard_match:(slot:int -> dest:int -> Xy_core.Mqp.alert -> int list) ->
+  shard_match:(dest:int -> Xy_core.Mqp.alert -> int list) ->
   drain:(int -> 'r -> (int list * float) option -> unit) ->
   unit ->
   stats

@@ -1,6 +1,6 @@
 (* [Unix.gettimeofday] can step backwards (NTP); latency math
-   subtracts timestamps, so the timer installed into [Obs]/[Trace] is
-   a CAS ratchet that never retreats.  (The libraries' own default,
+   subtracts timestamps, so the timer installed into [Obs] is a CAS
+   ratchet that never retreats.  (The library's own default,
    [Sys.time], measures CPU seconds — time blocked in I/O was
    invisible.) *)
 let monotonic =
@@ -13,15 +13,11 @@ let monotonic =
   in
   fun () -> ratchet (Unix.gettimeofday ())
 
-(* [Obs.set_timer]/[Trace.set_timer] mutate process-global state;
-   installing them from every [Distributed.run] or system [make] was a
-   data race against concurrently running pipelines.  One atomic flag
-   makes installation happen exactly once per process, no matter how
-   many systems or distributed runs start. *)
+(* [Obs.set_timer] mutates process-global state; installing it from
+   every system [make] or parallel batch was a data race against
+   concurrently running pipelines.  One atomic flag makes installation
+   happen exactly once per process, no matter how many start. *)
 let installed = Atomic.make false
 
 let install_timers () =
-  if not (Atomic.exchange installed true) then begin
-    Xy_obs.Obs.set_timer monotonic;
-    Xy_trace.Trace.set_timer monotonic
-  end
+  if not (Atomic.exchange installed true) then Xy_obs.Obs.set_timer monotonic

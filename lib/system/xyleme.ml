@@ -20,8 +20,8 @@ module Slo = Xy_slo.Slo
 module Serve = Xy_serve.Serve
 
 (* The never-retreating wall timer now lives in {!Wall} (it is
-   process-global, shared with [Distributed] and [Parallel]); the
-   alias keeps this module's historical surface. *)
+   process-global, shared with [Parallel]); the alias keeps this
+   module's historical surface. *)
 let monotonic_wall = Wall.monotonic
 
 (* The background maintenance task in flight, advanced a bounded
@@ -39,12 +39,9 @@ type maintenance_task =
    short-lived domains collide on a stripe). *)
 type worker_ctx = { wc_obs : Obs.t; wc_loader : Loader.t; wc_chain : Chain.t }
 
-(* Derived per-shard matchers (subscription-axis subsets, or full
-   replicas for the one algorithm whose matcher is not
-   concurrent-read-safe), cached across batches and invalidated by the
-   MQP's subscribe/unsubscribe epoch. *)
+(* Per-shard subscription-axis subsets, cached across batches and
+   invalidated by the MQP's subscribe/unsubscribe epoch. *)
 type shard_cache = {
-  sc_axis : Distributed.axis;
   sc_shards : int;
   sc_epoch : int;
   sc_mqps : Mqp.t array;
@@ -518,7 +515,10 @@ let durable_config ?sync_every ?segment_bytes () =
   }
 
 let parallel_config t = t.parallel
-let set_parallel t config = t.parallel <- config
+
+let set_parallel t config =
+  Parallel.validate config;
+  t.parallel <- config
 
 let obs t = t.obs
 let tracer t = t.tracer
@@ -626,6 +626,7 @@ let stop_serve ?drain t = Option.iter (Serve.stop ?drain) !(t.serve_cell)
 let create ?seed ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
     ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_port
     ?serve_config ?durable_dir ?sync_every ?segment_bytes () =
+  Option.iter Parallel.validate parallel;
   let serve_config =
     match (serve_config, serve_port) with
     | (Some _ as c), _ -> c
@@ -775,40 +776,30 @@ let worker_ctxs t ~domains =
           });
   t.worker_ctxs
 
-(* Derived per-shard matchers, cached until the subscription set
-   changes.  [Split_subscriptions]: each shard holds its id-modulo
-   subset.  [Split_documents] normally shares [t.mqp] read-only across
-   shard domains and needs nothing here; the counting algorithm is the
-   exception (its match scratch lives in the structure), so it gets a
-   full replica per shard — which also keeps work stealing valid,
-   replicas being interchangeable. *)
-let derived_shard_mqps t ~axis ~shards =
+(* Subscription-axis shard matchers: each shard holds its id-modulo
+   subset, cached until the subscription set changes.  The document
+   axis needs nothing here — it shares [t.mqp] read-only across shard
+   domains. *)
+let shard_subsets t ~shards =
   let epoch = Mqp.mutations t.mqp in
   match t.shard_cache with
-  | Some c when c.sc_axis = axis && c.sc_shards = shards && c.sc_epoch = epoch
-    ->
-      c.sc_mqps
+  | Some c when c.sc_shards = shards && c.sc_epoch = epoch -> c.sc_mqps
   | _ ->
-      (* Scratch registry: shard-replica instruments must not shadow
+      (* Scratch registry: shard-subset instruments must not shadow
          the real processor's metrics. *)
       let scratch = Obs.create () in
       let mqps =
         Array.init shards (fun slot ->
             let m = Mqp.create ~algorithm:t.algorithm ~obs:scratch () in
             Mqp.iter_complex t.mqp (fun ~id events ->
-                match axis with
-                | Distributed.Split_documents -> Mqp.subscribe m ~id events
-                | Distributed.Split_subscriptions ->
-                    if
-                      Xy_core.Partition.slot_of_subscription ~partitions:shards
-                        id
-                      = slot
-                    then Mqp.subscribe m ~id events);
+                if
+                  Xy_core.Partition.slot_of_subscription ~partitions:shards id
+                  = slot
+                then Mqp.subscribe m ~id events);
             Mqp.freeze m;
             m)
       in
-      t.shard_cache <-
-        Some { sc_axis = axis; sc_shards = shards; sc_epoch = epoch; sc_mqps = mqps };
+      t.shard_cache <- Some { sc_shards = shards; sc_epoch = epoch; sc_mqps = mqps };
       mqps
 
 (* Fold a worker's private registry into the system one: counters add,
@@ -909,37 +900,16 @@ let process_batch t ~conclude docs =
        The kill flag rides the doc's shard message instead. *)
     let kill = Array.map (fun _ -> Fault.fire t.faults "worker") docs in
     let ctxs = worker_ctxs t ~domains:config.Parallel.domains in
-    let counting = t.algorithm = Mqp.Use_counting in
-    let shard_match, steal_ok =
+    let shard_match =
       match config.Parallel.axis with
-      | Distributed.Split_documents when not counting ->
+      | Xy_core.Partition.Split_documents ->
           (* one frozen structure, read-only from every shard domain *)
-          ( (fun ~slot:_ ~dest:_ (a : Mqp.alert) ->
-              Mqp.match_readonly t.mqp a.Mqp.events),
-            true )
-      | Distributed.Split_documents ->
-          let replicas =
-            derived_shard_mqps t ~axis:Distributed.Split_documents
-              ~shards:config.Parallel.shards
-          in
-          ( (fun ~slot ~dest:_ (a : Mqp.alert) ->
-              Mqp.match_readonly replicas.(slot) a.Mqp.events),
-            true )
-      | Distributed.Split_subscriptions ->
-          let subsets =
-            derived_shard_mqps t ~axis:Distributed.Split_subscriptions
-              ~shards:config.Parallel.shards
-          in
+          fun ~dest:_ alert -> Mqp.match_alert t.mqp alert
+      | Xy_core.Partition.Split_subscriptions ->
           (* The subset identity travels with the message ([dest]), so
-             stolen work still matches the right subscriptions — but a
-             thief then reads the victim's structure concurrently,
-             which the counting matcher cannot tolerate. *)
-          ( (fun ~slot:_ ~dest (a : Mqp.alert) ->
-              Mqp.match_readonly subsets.(dest) a.Mqp.events),
-            not counting )
-    in
-    let config =
-      { config with Parallel.steal = config.Parallel.steal && steal_ok }
+             stolen work still matches the right subscriptions. *)
+          let subsets = shard_subsets t ~shards:config.Parallel.shards in
+          fun ~dest alert -> Mqp.match_alert subsets.(dest) alert
     in
     let worker ~slot d =
       let ctx = ctxs.(slot) in
@@ -1383,6 +1353,7 @@ type restore_info = {
 let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
     ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_port
     ?serve_config ?sync_every ?segment_bytes ~dir () =
+  Option.iter Parallel.validate parallel;
   let serve_config =
     match (serve_config, serve_port) with
     | (Some _ as c), _ -> c

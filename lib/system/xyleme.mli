@@ -63,7 +63,9 @@ val monotonic_wall : unit -> float
     ([steal]) and per-stage backpressure ([capacity]).  The default
     ({!Parallel.default_config}) stays serial.  Either way the
     observable behaviour is identical — notifications, reports and
-    journal ops come out in the serial order.
+    journal ops come out in the serial order.  A configuration that
+    fails {!Parallel.validate} raises [Invalid_argument] here, before
+    anything is opened.
 
     [sync_every] sets the WAL group-commit batch size (transactions
     per fsync, default 32; [1] syncs every commit) and
@@ -101,7 +103,8 @@ val create :
   t
 
 (** [parallel_config t] is the pipeline configuration in force;
-    [set_parallel] replaces it (takes effect at the next batch). *)
+    [set_parallel] replaces it (takes effect at the next batch) and
+    raises [Invalid_argument] if it fails {!Parallel.validate}. *)
 val parallel_config : t -> Parallel.config
 
 val set_parallel : t -> Parallel.config -> unit
@@ -357,7 +360,8 @@ type restore_info = {
     into a fresh generation, and re-delivers unacked reports.  The
     configuration arguments must match the original [create] call
     (they are not persisted).  [Error _] when [dir] holds no durable
-    run or its state is damaged beyond the WAL's torn tail. *)
+    run or its state is damaged beyond the WAL's torn tail; an invalid
+    [parallel] raises [Invalid_argument] as in {!create}. *)
 val restore :
   ?seed:int ->
   ?algorithm:Xy_core.Mqp.algorithm ->

@@ -4,9 +4,8 @@
    take the lock, so the steady-state cost of tracing is the [ctx
    option] match in each stage. *)
 
-let now_fn : (unit -> float) ref = ref Sys.time
-let set_timer f = now_fn := f
-let now () = !now_fn ()
+(* Wall timestamps come from the one process clock, {!Xy_obs.Obs.now}. *)
+let now = Xy_obs.Obs.now
 
 type span = {
   sp_stage : string;

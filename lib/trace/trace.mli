@@ -5,9 +5,9 @@
     spend its time?".  A sampled document receives a trace context at
     fetch time; the context propagates with the document through
     crawler → loader → alerters → MQP → trigger engine → reporter,
-    and rides messages across {!Xy_system.Bus} queues and the
-    distributed runner, so cross-domain queue wait is attributed to a
-    [bus.wait] span of the same trace.
+    and rides messages across {!Xy_system.Bus} queues into the
+    parallel engine's domains, so cross-domain queue wait is
+    attributed to a [bus.wait] span of the same trace.
 
     Sampling is deterministic (1-in-N via {!Xy_util.Prng}), so a
     simulation replayed from the same seed samples the same documents.
@@ -16,7 +16,8 @@
     option match per stage.
 
     Spans record their stage, start and duration on both clocks (the
-    virtual simulation {!Xy_util.Clock} and the injected wall timer),
+    virtual simulation {!Xy_util.Clock} and the process wall clock,
+    {!Xy_obs.Obs.now}),
     and key attributes (url, event counts, report size).  Completed
     traces are retained in a bounded ring buffer and exported as JSONL
     or as an XML [<trace>] document via the existing printer.
@@ -24,16 +25,6 @@
     The library is safe across OCaml domains: span completion and
     trace retirement take a tracer-internal lock, which only sampled
     documents ever touch. *)
-
-(** {2 Wall clock}
-
-    Like {!Xy_obs.Obs.set_timer}: the tracer is stdlib-only, callers
-    that link [unix] should install [Unix.gettimeofday].  Defaults to
-    [Sys.time]. *)
-
-val set_timer : (unit -> float) -> unit
-
-val now : unit -> float
 
 (** {2 Spans and traces} *)
 

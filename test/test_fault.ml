@@ -1,13 +1,12 @@
 (* Tests for the fault-injection substrate and the pipeline's recovery
    behaviour: spec parsing, per-point deterministic schedules, crawler
    retry/backoff, persist crash recovery (exhaustive truncation +
-   corruption), bus drop/stall, distributed worker respawn, and
-   end-to-end determinism of faulted runs. *)
+   corruption), bus drop/stall, worker respawn on the parallel engine,
+   and end-to-end determinism of faulted runs. *)
 
 module Fault = Xy_fault.Fault
 module Persist = Xy_submgr.Persist
 module Bus = Xy_system.Bus
-module Distributed = Xy_system.Distributed
 module Xyleme = Xy_system.Xyleme
 module Queue = Xy_crawler.Fetch_queue
 module Crawler = Xy_crawler.Crawler
@@ -17,8 +16,6 @@ module Obs = Xy_obs.Obs
 module Sink = Xy_reporter.Sink
 module Printer = Xy_xml.Printer
 module Parser = Xy_xml.Parser
-module Workload = Xy_core.Workload
-module Mqp = Xy_core.Mqp
 module Manager = Xy_submgr.Manager
 
 let checkb = Alcotest.(check bool)
@@ -513,57 +510,6 @@ let test_bus_stall_delays_not_loses () =
   checki "every push stalled" 3 (Fault.injected faults "bus_stall")
 
 (* ------------------------------------------------------------------ *)
-(* Distributed worker respawn *)
-
-let make_distributed_workload () =
-  let workload = { Workload.card_a = 300; card_c = 400; b = 3; s = 20 } in
-  let subscriptions =
-    Array.to_list
-      (Array.mapi
-         (fun id events -> (id, events))
-         (Workload.complex_events workload ~seed:8))
-  in
-  let alerts =
-    Array.to_list
-      (Array.mapi
-         (fun i events ->
-           {
-             Mqp.url = Printf.sprintf "http://doc%d/" i;
-             events;
-             payload = "";
-             trace = None;
-             birth = None;
-           })
-         (Workload.document_sets workload ~seed:9 ~count:200))
-  in
-  (subscriptions, alerts)
-
-let test_distributed_worker_respawn () =
-  let subscriptions, alerts = make_distributed_workload () in
-  let baseline =
-    Distributed.run ~axis:Distributed.Split_documents ~partitions:3
-      ~subscriptions ~alerts ()
-  in
-  let faults =
-    Fault.create ~obs:(Obs.create ()) ~seed:21 [ ("worker", 0.15) ]
-  in
-  let faulted =
-    Distributed.run ~axis:Distributed.Split_documents ~partitions:3 ~faults
-      ~capacity:1024 ~subscriptions ~alerts ()
-  in
-  checkb "workers actually died" true (faulted.Distributed.worker_deaths > 0);
-  checki "every death respawned" faulted.Distributed.worker_deaths
-    faulted.Distributed.worker_respawns;
-  checki "deaths match the injection count"
-    (Fault.injected faults "worker") faulted.Distributed.worker_deaths;
-  checki "no alert lost or duplicated"
-    baseline.Distributed.alerts_processed faulted.Distributed.alerts_processed;
-  Alcotest.(check (list (pair string int)))
-    "notification multiset matches the fault-free run"
-    (List.sort compare baseline.Distributed.notifications)
-    (List.sort compare faulted.Distributed.notifications)
-
-(* ------------------------------------------------------------------ *)
 (* End-to-end determinism (the tentpole acceptance property) *)
 
 let subscription_text i ~sites =
@@ -655,6 +601,57 @@ let test_e2e_seed_changes_schedule () =
   let reports_b, faults_b, _, _, _ = faulted_run ~seed:6 ~persist_path:persist_b () in
   checkb "different seed, different run" true
     (reports_a <> reports_b || faults_a <> faults_b)
+
+(* ------------------------------------------------------------------ *)
+(* Distributed worker respawn *)
+
+(* A week over a small web on the parallel engine, documents split
+   across three shards; [worker] deaths are injected at [rate].
+   Returns the sorted notification multiset, the alerts sent, the
+   [fault] counters and the injection count. *)
+let distributed_run ~rate () =
+  let sites = 4 in
+  let web = Web.generate ~seed:8 ~sites ~pages_per_site:5 () in
+  let obs = Obs.create () in
+  let parallel =
+    { Xy_system.Parallel.default_config with
+      domains = 2; shards = 3; axis = Xy_core.Partition.Split_documents }
+  in
+  let xyleme =
+    Xyleme.create ~seed:9 ~fault_plan:[ ("worker", rate) ] ~parallel ~web ~obs
+      ()
+  in
+  for i = 0 to 19 do
+    match
+      Xyleme.subscribe xyleme ~owner:(Printf.sprintf "u%d" i)
+        ~text:(subscription_text i ~sites)
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Manager.error_to_string e)
+  done;
+  let notifs = ref [] in
+  Xy_core.Mqp.on_notify (Xyleme.mqp xyleme) (fun n ->
+      notifs :=
+        (n.Xy_core.Mqp.url, n.Xy_core.Mqp.complex_id) :: !notifs);
+  Xyleme.run xyleme ~days:7. ~step:(6. *. 3600.) ~fetch_limit:100;
+  let fault name = Obs.Snapshot.counter_value (Obs.snapshot obs) ~stage:"fault" name in
+  ( List.sort compare !notifs,
+    (Xyleme.stats xyleme).Xyleme.alerts_sent,
+    fault "worker_deaths",
+    fault "worker_respawns",
+    Fault.injected (Xyleme.faults xyleme) "worker" )
+
+let test_distributed_worker_respawn () =
+  let baseline, baseline_alerts, _, _, _ = distributed_run ~rate:0. () in
+  let notifs, alerts, deaths, respawns, injected =
+    distributed_run ~rate:0.15 ()
+  in
+  checkb "workers actually died" true (deaths > 0);
+  checki "every death respawned" deaths respawns;
+  checki "deaths match the injection count" injected deaths;
+  checki "no alert lost or duplicated" baseline_alerts alerts;
+  Alcotest.(check (list (pair string int)))
+    "notification multiset matches the fault-free run" baseline notifs
 
 (* ------------------------------------------------------------------ *)
 (* Whole-system durability: checkpoint + WAL warm restart, proven by

@@ -1,13 +1,13 @@
 (* The sharded pipeline must be observationally identical to the
    serial loop: same notification multiset, same stats, same
    per-stage counter totals — on both distribution axes, with and
-   without work stealing and worker-death faults.  Plus unit tests
-   for the work-stealing bus primitives, the padded counters and the
-   idempotent wall-clock installation. *)
+   without work stealing and worker-death faults.  Plus per-axis
+   fan-out, cross-domain trace propagation, configuration validation,
+   and unit tests for the work-stealing bus primitives, the padded
+   counters and the idempotent wall-clock installation. *)
 
 module Xyleme = Xy_system.Xyleme
 module Parallel = Xy_system.Parallel
-module Distributed = Xy_system.Distributed
 module Bus = Xy_system.Bus
 module Pad = Xy_system.Pad
 module Wall = Xy_system.Wall
@@ -17,6 +17,8 @@ module Loader = Xy_warehouse.Loader
 module Mqp = Xy_core.Mqp
 module Partition = Xy_core.Partition
 module Obs = Xy_obs.Obs
+module Fault = Xy_fault.Fault
+module Trace = Xy_trace.Trace
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -108,15 +110,11 @@ report when count > 5 atmost weekly|}
         [| "wireless"; "portable"; "digital"; "stereo" |].(i mod 4)
         site
 
-(* One deterministic workload: a small synthetic web evolved over
-   [rounds] batches through [ingest_batch].  Returns the notification
-   multiset (sorted), the delivery count, the headline stats and the
-   metrics snapshot. *)
-let run_workload ?fault_plan ?parallel ?algorithm ~rounds () =
-  let sites = 6 in
+let sites = 6
+
+(* A system over a small synthetic web with 18 subscriptions. *)
+let make_system ?fault_plan ?parallel ?algorithm ~sink ~obs () =
   let web = Web.generate ~seed:5 ~sites ~pages_per_site:4 () in
-  let sink, deliveries = Sink.memory () in
-  let obs = Obs.create () in
   let t =
     Xyleme.create ~seed:11 ?algorithm ~sink ~web ~obs ?fault_plan ?parallel ()
   in
@@ -127,37 +125,58 @@ let run_workload ?fault_plan ?parallel ?algorithm ~rounds () =
     | Ok _ -> ()
     | Error e -> Alcotest.fail (Xy_submgr.Manager.error_to_string e)
   done;
+  (t, web)
+
+(* One batch: every page of the web, fetched now.  [trace url] is the
+   trace context the document carries, if sampled. *)
+let fetch_batch ?(trace = fun _ -> None) web =
+  List.filter_map
+    (fun url ->
+      match Web.fetch web ~url with
+      | Some content ->
+          let kind =
+            match Web.kind_of web ~url with
+            | Some Web.Xml_page -> Loader.Xml
+            | Some Web.Html_page -> Loader.Html
+            | None -> Loader.Auto
+          in
+          Some
+            { Xyleme.bd_url = url; bd_content = Some content; bd_kind = kind;
+              bd_trace = trace url; bd_birth = None }
+      | None -> None)
+    (Web.urls web)
+
+type run = {
+  notifs : string list;  (** the notification multiset, sorted *)
+  deliveries : int;
+  stats : Xyleme.stats;
+  snap : Obs.Snapshot.t;
+  worker_faults : int;  (** [Fault.injected] for the [worker] point *)
+}
+
+(* One deterministic workload: the web evolved over [rounds] batches
+   through [ingest_batch]. *)
+let run_workload ?fault_plan ?parallel ?algorithm ~rounds () =
+  let sink, deliveries = Sink.memory () in
+  let obs = Obs.create () in
+  let t, web = make_system ?fault_plan ?parallel ?algorithm ~sink ~obs () in
   let notifs = ref [] in
   Mqp.on_notify (Xyleme.mqp t) (fun n ->
       notifs :=
         Printf.sprintf "%d|%s|%s" n.Mqp.complex_id n.Mqp.url n.Mqp.payload
         :: !notifs);
   for _round = 1 to rounds do
-    let docs =
-      List.filter_map
-        (fun url ->
-          match Web.fetch web ~url with
-          | Some content ->
-              let kind =
-                match Web.kind_of web ~url with
-                | Some Web.Xml_page -> Loader.Xml
-                | Some Web.Html_page -> Loader.Html
-                | None -> Loader.Auto
-              in
-              Some
-                { Xyleme.bd_url = url; bd_content = Some content;
-                  bd_kind = kind; bd_trace = None; bd_birth = None }
-          | None -> None)
-        (Web.urls web)
-    in
-    Xyleme.ingest_batch t docs;
+    Xyleme.ingest_batch t (fetch_batch web);
     Xy_util.Clock.advance (Xyleme.clock t) 3600.;
     ignore (Web.evolve web ~elapsed:3600.)
   done;
-  ( List.sort compare !notifs,
-    List.length !deliveries,
-    Xyleme.stats t,
-    Obs.snapshot obs )
+  {
+    notifs = List.sort compare !notifs;
+    deliveries = List.length !deliveries;
+    stats = Xyleme.stats t;
+    snap = Obs.snapshot obs;
+    worker_faults = Fault.injected (Xyleme.faults t) "worker";
+  }
 
 (* Counter totals per stage, excluding the stages that legitimately
    differ between modes: [bus] (queues and steals exist only in
@@ -172,12 +191,11 @@ let pipeline_counters (snap : Obs.Snapshot.t) =
       | _ -> None)
     snap.Obs.Snapshot.entries
 
-let check_equiv ~label (serial : _ * _ * Xyleme.stats * _) parallel_run =
-  let s_notifs, s_deliv, s_stats, s_snap = serial in
-  let p_notifs, p_deliv, p_stats, p_snap = parallel_run in
+let check_equiv ~label serial parallel_run =
+  let s_stats = serial.stats and p_stats = parallel_run.stats in
   Alcotest.(check (list string))
-    (label ^ ": notification multiset") s_notifs p_notifs;
-  checki (label ^ ": deliveries") s_deliv p_deliv;
+    (label ^ ": notification multiset") serial.notifs parallel_run.notifs;
+  checki (label ^ ": deliveries") serial.deliveries parallel_run.deliveries;
   checki (label ^ ": notifications") s_stats.Xyleme.notifications
     p_stats.Xyleme.notifications;
   checki (label ^ ": alerts") s_stats.Xyleme.alerts_sent
@@ -190,8 +208,8 @@ let check_equiv ~label (serial : _ * _ * Xyleme.stats * _) parallel_run =
       Alcotest.(check string) (label ^ ": counter name") (st ^ "/" ^ n)
         (pt ^ "/" ^ pn);
       checki (label ^ ": counter " ^ st ^ "/" ^ n) sv pv)
-    (pipeline_counters s_snap)
-    (pipeline_counters p_snap)
+    (pipeline_counters serial.snap)
+    (pipeline_counters parallel_run.snap)
 
 let parallel ?(steal = true) ~domains ~shards axis =
   { Parallel.default_config with domains; shards; axis; steal }
@@ -202,42 +220,47 @@ let test_equiv_docs_axis () =
   let serial = Lazy.force serial_baseline in
   check_equiv ~label:"docs/steal" serial
     (run_workload ~rounds:3
-       ~parallel:(parallel ~domains:3 ~shards:2 Distributed.Split_documents)
+       ~parallel:(parallel ~domains:3 ~shards:2 Partition.Split_documents)
        ());
   check_equiv ~label:"docs/no-steal" serial
     (run_workload ~rounds:3
        ~parallel:
          (parallel ~steal:false ~domains:2 ~shards:3
-            Distributed.Split_documents)
+            Partition.Split_documents)
        ())
 
 let test_equiv_subs_axis () =
   let serial = Lazy.force serial_baseline in
   check_equiv ~label:"subs/steal" serial
     (run_workload ~rounds:3
-       ~parallel:(parallel ~domains:2 ~shards:3 Distributed.Split_subscriptions)
+       ~parallel:(parallel ~domains:2 ~shards:3 Partition.Split_subscriptions)
        ());
   check_equiv ~label:"subs/no-steal" serial
     (run_workload ~rounds:3
        ~parallel:
          (parallel ~steal:false ~domains:3 ~shards:2
-            Distributed.Split_subscriptions)
+            Partition.Split_subscriptions)
        ())
 
-(* The counting matcher is not concurrent-read-safe: the document
-   axis runs per-shard replicas, the subscription axis owns disjoint
-   subsets (stealing internally disabled).  Both must still agree
-   with the serial counting run. *)
-let test_equiv_counting () =
-  let serial = run_workload ~algorithm:Mqp.Use_counting ~rounds:2 () in
-  check_equiv ~label:"counting/docs" serial
-    (run_workload ~algorithm:Mqp.Use_counting ~rounds:2
-       ~parallel:(parallel ~domains:2 ~shards:2 Distributed.Split_documents)
-       ());
-  check_equiv ~label:"counting/subs" serial
-    (run_workload ~algorithm:Mqp.Use_counting ~rounds:2
-       ~parallel:(parallel ~domains:2 ~shards:2 Distributed.Split_subscriptions)
-       ())
+(* The compact matcher, the only non-default production algorithm:
+   the document axis shares its frozen structure across shards, the
+   subscription axis freezes one subset per shard.  Every
+   combination must agree with the serial aes-compact run. *)
+let test_equiv_compact () =
+  let algorithm = Mqp.Use_aes_compact in
+  let serial = run_workload ~algorithm ~rounds:2 () in
+  List.iter
+    (fun (label, axis, steal) ->
+      check_equiv ~label:("compact/" ^ label) serial
+        (run_workload ~algorithm ~rounds:2
+           ~parallel:(parallel ~steal ~domains:2 ~shards:3 axis)
+           ()))
+    [
+      ("docs/steal", Partition.Split_documents, true);
+      ("docs/no-steal", Partition.Split_documents, false);
+      ("subs/steal", Partition.Split_subscriptions, true);
+      ("subs/no-steal", Partition.Split_subscriptions, false);
+    ]
 
 (* Worker-death faults: shards die holding work, the supervisor
    respawns them with that work carried over — the output must not
@@ -245,24 +268,34 @@ let test_equiv_counting () =
    [worker] point only exists in the parallel engine). *)
 let test_equiv_worker_deaths () =
   let serial = Lazy.force serial_baseline in
-  let deaths_of (_, _, _, snap) =
-    Obs.Snapshot.counter_value snap ~stage:"fault" "worker_deaths"
+  let fault_counter run name =
+    Obs.Snapshot.counter_value run.snap ~stage:"fault" name
+  in
+  let deaths_of run = fault_counter run "worker_deaths" in
+  (* every injected death is one shard death, and every death was
+     respawned *)
+  let check_respawns ~label run =
+    checki (label ^ ": deaths = injections") run.worker_faults (deaths_of run);
+    checki (label ^ ": respawns = deaths") (deaths_of run)
+      (fault_counter run "worker_respawns")
   in
   let docs =
     run_workload ~rounds:3
       ~fault_plan:[ ("worker", 0.5) ]
-      ~parallel:(parallel ~domains:3 ~shards:2 Distributed.Split_documents)
+      ~parallel:(parallel ~domains:3 ~shards:2 Partition.Split_documents)
       ()
   in
   checkb "docs axis: deaths occurred" true (deaths_of docs > 0);
+  check_respawns ~label:"docs" docs;
   check_equiv ~label:"docs/deaths" serial docs;
   let subs =
     run_workload ~rounds:3
       ~fault_plan:[ ("worker", 0.5) ]
-      ~parallel:(parallel ~domains:2 ~shards:3 Distributed.Split_subscriptions)
+      ~parallel:(parallel ~domains:2 ~shards:3 Partition.Split_subscriptions)
       ()
   in
   checkb "subs axis: deaths occurred" true (deaths_of subs > 0);
+  check_respawns ~label:"subs" subs;
   check_equiv ~label:"subs/deaths" serial subs
 
 (* Randomized sweep over the configuration space: any (domains,
@@ -273,27 +306,136 @@ let qcheck_equiv =
       ~print:(fun (d, s, ax, steal, fault) ->
         Printf.sprintf "domains=%d shards=%d axis=%s steal=%b fault=%b" d s
           (match ax with
-          | Distributed.Split_documents -> "docs"
-          | Distributed.Split_subscriptions -> "subs")
+          | Partition.Split_documents -> "docs"
+          | Partition.Split_subscriptions -> "subs")
           steal fault)
       QCheck.Gen.(
         let* d = int_range 2 4 in
         let* s = int_range 1 4 in
-        let* ax = oneofl [ Distributed.Split_documents; Distributed.Split_subscriptions ] in
+        let* ax = oneofl [ Partition.Split_documents; Partition.Split_subscriptions ] in
         let* steal = bool in
         let* fault = bool in
         return (d, s, ax, steal, fault))
   in
   QCheck.Test.make ~name:"parallel = serial for any configuration" ~count:8 gen
     (fun (domains, shards, axis, steal, fault) ->
-      let s_notifs, s_deliv, _, _ = Lazy.force serial_baseline in
-      let p_notifs, p_deliv, _, _ =
+      let serial = Lazy.force serial_baseline in
+      let p =
         run_workload ~rounds:3
           ?fault_plan:(if fault then Some [ ("worker", 0.3) ] else None)
           ~parallel:(parallel ~steal ~domains ~shards axis)
           ()
       in
-      s_notifs = p_notifs && s_deliv = p_deliv)
+      serial.notifs = p.notifs && serial.deliveries = p.deliveries)
+
+(* ------------------------------------------------------------------ *)
+(* Fan-out and tracing across domains *)
+
+(* Per-axis fan-out: on the document axis each alert visits one shard,
+   on the subscription axis every shard. *)
+let test_fanout_per_axis () =
+  let visits run =
+    Obs.Snapshot.counter_value run.snap ~stage:"bus" "shard_inbox_pushed"
+  in
+  let docs =
+    run_workload ~rounds:2
+      ~parallel:(parallel ~domains:2 ~shards:3 Partition.Split_documents)
+      ()
+  in
+  checkb "alerts were sent" true (docs.stats.Xyleme.alerts_sent > 0);
+  checki "docs axis: one shard visit per alert" docs.stats.Xyleme.alerts_sent
+    (visits docs);
+  let subs =
+    run_workload ~rounds:2
+      ~parallel:(parallel ~domains:2 ~shards:3 Partition.Split_subscriptions)
+      ()
+  in
+  checki "subs axis: every shard visited per alert"
+    (3 * subs.stats.Xyleme.alerts_sent)
+    (visits subs)
+
+(* A sampled document's trace context rides its alert through the
+   shard inboxes into shard domains: the queue wait ([bus/wait]) and
+   the match ([mqp/match]) recorded there must land in that
+   document's own trace — one connected trace per sampled document,
+   no orphans and no stray traces.  Stealing is off because a stolen
+   message skips its queue-wait span. *)
+let test_trace_propagation () =
+  List.iter
+    (fun (label, axis) ->
+      let sink, _ = Sink.memory () in
+      let t, web =
+        make_system ~sink ~obs:(Obs.create ())
+          ~parallel:(parallel ~steal:false ~domains:2 ~shards:3 axis)
+          ()
+      in
+      let tracer = Trace.create ~capacity:64 ~seed:5 () in
+      let sampled = ref [] in
+      let trace url =
+        if List.length !sampled < 6 && Hashtbl.hash url mod 3 = 0 then begin
+          let ctx = Trace.start_always tracer ~root:url in
+          sampled := (url, Trace.trace_id ctx) :: !sampled;
+          Some ctx
+        end
+        else None
+      in
+      Xyleme.ingest_batch t (fetch_batch ~trace web);
+      let n = List.length !sampled in
+      checkb (label ^ ": documents sampled") true (n > 0);
+      checki (label ^ ": every sampled document started a trace") n
+        (Trace.started tracer);
+      checki (label ^ ": every trace completed, no orphans") n
+        (Trace.completed tracer);
+      let traces = Trace.traces tracer in
+      Alcotest.(check (list int))
+        (label ^ ": trace ids are exactly the sampled ones")
+        (List.sort compare (List.map snd !sampled))
+        (List.sort compare (List.map (fun tr -> tr.Trace.tr_id) traces));
+      List.iter
+        (fun tr ->
+          let spans stage name =
+            List.length
+              (List.filter
+                 (fun sp -> sp.Trace.sp_stage = stage && sp.Trace.sp_name = name)
+                 tr.Trace.tr_spans)
+          in
+          let root = label ^ ": " ^ tr.Trace.tr_root in
+          checkb (root ^ ": root is the sampled document") true
+            (List.mem_assoc tr.Trace.tr_root !sampled);
+          checkb (root ^ ": shard queue wait recorded") true
+            (spans "bus" "wait" > 0);
+          checki (root ^ ": one match span per shard visit")
+            (match axis with
+            | Partition.Split_documents -> 1
+            | Partition.Split_subscriptions -> 3)
+            (spans "mqp" "match"))
+        traces)
+    [ ("docs", Partition.Split_documents);
+      ("subs", Partition.Split_subscriptions) ]
+
+(* ------------------------------------------------------------------ *)
+(* Configuration validation *)
+
+(* A non-positive shard count used to pass [Xyleme.create] and crash
+   at the first parallel batch; every install point now rejects it. *)
+let test_invalid_config () =
+  let bad = parallel ~domains:2 ~shards:0 Partition.Split_documents in
+  let rejects label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (label ^ ": shards = 0 accepted")
+  in
+  rejects "create" (fun () -> ignore (Xyleme.create ~parallel:bad ()));
+  rejects "restore" (fun () ->
+      ignore (Xyleme.restore ~parallel:bad ~dir:"/nonexistent" ()));
+  let t = Xyleme.create () in
+  rejects "set_parallel" (fun () -> Xyleme.set_parallel t bad);
+  checkb "config in force unchanged" true
+    (Xyleme.parallel_config t = Parallel.default_config);
+  rejects "domains = 0" (fun () ->
+      Parallel.validate { Parallel.default_config with domains = 0 });
+  rejects "capacity = 0" (fun () ->
+      Parallel.validate { Parallel.default_config with capacity = 0 })
 
 (* ------------------------------------------------------------------ *)
 (* Work stealing under forced skew *)
@@ -319,7 +461,7 @@ let test_steal_under_skew () =
     let t =
       Xyleme.create ~seed:3 ~sink ~obs
         ~parallel:
-          (parallel ~domains:2 ~shards:2 Distributed.Split_documents)
+          (parallel ~domains:2 ~shards:2 Partition.Split_documents)
         ()
     in
     (match
@@ -367,10 +509,18 @@ let () =
         [
           Alcotest.test_case "document axis" `Quick test_equiv_docs_axis;
           Alcotest.test_case "subscription axis" `Quick test_equiv_subs_axis;
-          Alcotest.test_case "counting matcher" `Quick test_equiv_counting;
+          Alcotest.test_case "aes-compact matcher" `Quick test_equiv_compact;
           Alcotest.test_case "worker deaths" `Quick test_equiv_worker_deaths;
           QCheck_alcotest.to_alcotest qcheck_equiv;
         ] );
+      ( "fan-out",
+        [ Alcotest.test_case "shard visits per axis" `Quick test_fanout_per_axis ] );
+      ( "tracing",
+        [ Alcotest.test_case "cross-domain propagation" `Quick
+            test_trace_propagation ] );
+      ( "config",
+        [ Alcotest.test_case "invalid shard count rejected" `Quick
+            test_invalid_config ] );
       ( "stealing",
         [ Alcotest.test_case "forced skew" `Quick test_steal_under_skew ] );
     ]
