@@ -253,7 +253,8 @@ let run config ?(obs = Obs.default) ~docs ~kill ~url_of ~worker ~shard_match
     in
     match !failure with
     | Some _ -> ()
-    | None -> ( try drain idx outcome matched with e -> failure := Some e)
+    | None -> (
+        try drain docs.(idx) outcome matched with e -> failure := Some e)
   in
   let advance () =
     while !next < len && complete cells.(!next) do

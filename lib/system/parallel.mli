@@ -68,11 +68,11 @@ type stats = {
       may be stolen).  Subscription-axis callers must select the
       [dest] subset; document-axis callers may match against one
       shared structure.
-    - [drain idx outcome matched] runs on the caller's domain, in
-      strictly increasing [idx] order; [matched] is the merged match
-      list and summed match latency when the document alerted.  If it
-      raises, no later document is drained, every stage is still run
-      to completion and joined, and the exception is re-raised — the
+    - [drain doc outcome matched] runs on the caller's domain, in
+      batch order; [matched] is the merged match list and summed
+      match latency when the document alerted.  If it raises, no
+      later document is drained, every stage is still run to
+      completion and joined, and the exception is re-raised — the
       crash leaves exactly what a serial crash would.
 
     Steal/death telemetry goes to [obs] ([bus/steals],
@@ -86,6 +86,6 @@ val run :
   url_of:('d -> string) ->
   worker:(slot:int -> 'd -> 'r * Xy_core.Mqp.alert option) ->
   shard_match:(dest:int -> Xy_core.Mqp.alert -> int list) ->
-  drain:(int -> 'r -> (int list * float) option -> unit) ->
+  drain:('d -> 'r -> (int list * float) option -> unit) ->
   unit ->
   stats

@@ -19,11 +19,6 @@ module Sink = Xy_reporter.Sink
 module Slo = Xy_slo.Slo
 module Serve = Xy_serve.Serve
 
-(* The never-retreating wall timer now lives in {!Wall} (it is
-   process-global, shared with [Parallel]); the alias keeps this
-   module's historical surface. *)
-let monotonic_wall = Wall.monotonic
-
 (* The background maintenance task in flight, advanced a bounded
    number of records per crawl step — log compaction used to run
    wholesale inside [checkpoint] and dominated its pause. *)
@@ -193,14 +188,16 @@ let journal_counters t =
       Codec.int buf ms.Mqp.alerts_processed;
       Codec.int buf ms.Mqp.notifications_emitted)
 
+let encode_deadline buf = function
+  | Some d ->
+      Codec.bool buf true;
+      Codec.float buf d
+  | None -> Codec.bool buf false
+
 let journal_self_monitor_deadline t =
   journal_op t ~stage:"system" (fun buf ->
       Codec.string buf "M";
-      match t.self_monitor_deadline with
-      | Some d ->
-          Codec.bool buf true;
-          Codec.float buf d
-      | None -> Codec.bool buf false)
+      encode_deadline buf t.self_monitor_deadline)
 
 let encode_system t =
   let buf = Buffer.create 64 in
@@ -208,11 +205,7 @@ let encode_system t =
   Codec.int buf t.steps_done;
   Codec.bool buf t.mid_step;
   Codec.int buf t.alerts_sent;
-  (match t.self_monitor_deadline with
-  | Some d ->
-      Codec.bool buf true;
-      Codec.float buf d
-  | None -> Codec.bool buf false);
+  encode_deadline buf t.self_monitor_deadline;
   let ms = Mqp.stats t.mqp in
   Codec.int buf ms.Mqp.alerts_processed;
   Codec.int buf ms.Mqp.notifications_emitted;
@@ -284,25 +277,154 @@ let decode_obs t payload =
   Codec.expect_end r;
   Obs.absorb t.obs { Obs.Snapshot.at = neg_infinity; entries }
 
-(* Thunks, not payloads: [Durable.checkpoint] only runs the encoder of
-   stages journaled since the last checkpoint and carries the rest
-   forward by reference. *)
-let snapshot_sections t =
+let kind_tag = function Loader.Xml -> 0 | Loader.Html -> 1 | Loader.Auto -> 2
+
+let kind_of_tag = function
+  | 0 -> Loader.Xml
+  | 1 -> Loader.Html
+  | 2 -> Loader.Auto
+  | n -> raise (Codec.Malformed (Printf.sprintf "unknown content kind %d" n))
+
+let apply_system_op t payload =
+  let r = Codec.reader payload in
+  (match Codec.read_string r with
+  | "A" ->
+      let seconds = Codec.read_float r in
+      Xy_util.Clock.advance t.clock seconds;
+      ignore (Xy_crawler.Synthetic_web.evolve t.web ~elapsed:seconds);
+      t.mid_step <- true
+  | "S" ->
+      t.steps_done <- Codec.read_int r;
+      Xy_util.Clock.set t.clock (Codec.read_float r);
+      t.mid_step <- false
+  | "c" ->
+      t.alerts_sent <- Codec.read_int r;
+      let alerts_processed = Codec.read_int r in
+      let notifications_emitted = Codec.read_int r in
+      Mqp.restore_counters t.mqp ~alerts_processed ~notifications_emitted
+  | "M" ->
+      t.self_monitor_deadline <-
+        (if Codec.read_bool r then Some (Codec.read_float r) else None)
+  | tag -> raise (Codec.Malformed ("unknown system op " ^ tag)));
+  Codec.expect_end r
+
+(* Warehouse ops replay through the Loader alone — no alerter chain,
+   no MQP, no reporter: those stages replay their own journaled ops,
+   so the restored pipeline cannot double-notify. *)
+let apply_warehouse_op t payload =
+  let r = Codec.reader payload in
+  (match Codec.read_string r with
+  | "L" ->
+      let url = Codec.read_string r in
+      let kind = kind_of_tag (Codec.read_int r) in
+      let content = Codec.read_string r in
+      let at = Codec.read_float r in
+      Xy_util.Clock.set t.clock at;
+      (try ignore (Loader.load t.loader ~url ~content ~kind)
+       with Loader.Rejected _ -> ())
+  | "X" ->
+      let url = Codec.read_string r in
+      let at = Codec.read_float r in
+      Xy_util.Clock.set t.clock at;
+      ignore (Loader.delete t.loader ~url)
+  | "D" ->
+      (* batch DOCID pre-allocation: replay in journal order keeps the
+         numbering identical to the run that wrote it *)
+      let url = Codec.read_string r in
+      ignore (Store.allocate_docid t.store ~url)
+  | tag -> raise (Codec.Malformed ("unknown warehouse op " ^ tag)));
+  Codec.expect_end r
+
+(* The durable stages, listed once and in decode order: snapshot
+   sections, journal hooks, WAL replay and restore's decode sequence
+   are all derived from this table. *)
+type durable_stage = {
+  name : string;
+  encode : (unit -> string) option;
+      (** a thunk, not a payload: [Durable.checkpoint] only runs the
+          encoders of stages journaled since the last checkpoint and
+          carries the rest forward by reference; [None] writes no
+          section *)
+  decode : string -> unit;
+  apply : string -> unit;  (** replay one journaled op *)
+  hook : (string -> unit) option -> unit;  (** install the journal hook *)
+}
+
+(* What a stage that owns its durable state exposes. *)
+module type OWNED_STAGE = sig
+  type t
+
+  val encode_snapshot : t -> string
+  val decode_snapshot : t -> string -> unit
+  val apply_op : t -> string -> unit
+  val set_journal : t -> (string -> unit) option -> unit
+end
+
+let durable_stages t =
+  let stage ?apply ?(hook = ignore) name encode decode =
+    let no_ops _ = raise (Codec.Malformed ("no ops journaled under " ^ name)) in
+    { name; encode = Some encode; decode; hook;
+      apply = Option.value apply ~default:no_ops }
+  in
+  let owned (type s) name (module M : OWNED_STAGE with type t = s) (x : s) =
+    stage name
+      (fun () -> M.encode_snapshot x)
+      (M.decode_snapshot x) ~apply:(M.apply_op x) ~hook:(M.set_journal x)
+  in
+  let module Web = Xy_crawler.Synthetic_web in
+  let module Reporter = Xy_reporter.Reporter in
   [
-    ("system", fun () -> encode_system t);
-    ("obs", fun () -> encode_obs t);
-    ("fault", fun () -> Fault.encode_snapshot t.faults);
-    ("web", fun () -> Xy_crawler.Synthetic_web.encode_snapshot t.web);
-    ("warehouse", fun () -> Store.encode_snapshot t.store);
-    ("queue", fun () -> Xy_crawler.Fetch_queue.encode_snapshot t.queue);
-    ("crawler", fun () -> Xy_crawler.Crawler.encode_snapshot t.crawler);
-    ("trigger", fun () -> Xy_trigger.Trigger_engine.encode_snapshot t.trigger);
-    ("reporter", fun () -> Xy_reporter.Reporter.encode_snapshot t.reporter);
+    stage "system" (fun () -> encode_system t) (decode_system t)
+      ~apply:(apply_system_op t);
+    stage "obs" (fun () -> encode_obs t) (decode_obs t);
+    owned "fault" (module Fault) t.faults;
+    stage "web"
+      (fun () -> Web.encode_snapshot t.web)
+      (Web.decode_snapshot t.web);
+    stage "warehouse"
+      (fun () -> Store.encode_snapshot t.store)
+      (Store.decode_snapshot t.store) ~apply:(apply_warehouse_op t);
+    owned "queue" (module Xy_crawler.Fetch_queue) t.queue;
+    owned "crawler" (module Xy_crawler.Crawler) t.crawler;
+    owned "trigger" (module Xy_trigger.Trigger_engine) t.trigger;
+    (* The reporter acknowledges deliveries externally, so its commit
+       must also be a sync barrier: a group-commit batch lost at a kill
+       may never contain a delivery intent whose report was sent.  The
+       fire path itself defers sink invocation to [commit_txn]'s flush;
+       this hook only serves [redeliver_pending] during restore. *)
+    stage "reporter"
+      (fun () -> Reporter.encode_snapshot t.reporter)
+      (Reporter.decode_snapshot t.reporter) ~apply:(Reporter.apply_op t.reporter)
+      ~hook:(fun journal ->
+        Reporter.set_persistence t.reporter ~journal
+          ~commit:
+            (Option.map
+               (fun d () ->
+                 Durable.commit d;
+                 Durable.barrier d)
+               t.durable));
+    (* the wire pending store is a durable stage too: report enqueues
+       and client acks journal as ops, and its delivery boundaries are
+       crash windows the matrix tests can kill inside *)
+    (match !(t.serve_cell) with
+    | Some s ->
+        let serve = owned "serve" (module Serve) s in
+        let hook journal =
+          serve.hook journal;
+          Serve.set_fuse s (Some (fun label -> crash_point t ("serve:" ^ label)))
+        in
+        { serve with hook }
+    | None ->
+        (* restored without a serving surface: its section is skipped
+           and its ops are dropped *)
+        { name = "serve"; encode = None; decode = ignore; apply = ignore;
+          hook = ignore });
   ]
-  @
-  match !(t.serve_cell) with
-  | Some s -> [ ("serve", fun () -> Serve.encode_snapshot s) ]
-  | None -> []
+
+let snapshot_sections t =
+  List.filter_map
+    (fun s -> Option.map (fun encode -> (s.name, encode)) s.encode)
+    (durable_stages t)
 
 (* Stages whose every mutation is journaled as an op, so their state
    is exactly base-snapshot + WAL replay: these may checkpoint as
@@ -315,34 +437,14 @@ let snapshot_sections t =
 let wal_carried_stages = [ "reporter" ]
 
 let attach_hooks t d =
-  let j stage = Some (fun payload -> Durable.journal d ~stage payload) in
   Durable.set_wal_carried d wal_carried_stages;
-  Xy_crawler.Fetch_queue.set_journal t.queue (j "queue");
-  Xy_crawler.Crawler.set_journal t.crawler (j "crawler");
-  Xy_trigger.Trigger_engine.set_journal t.trigger (j "trigger");
-  Fault.set_journal t.faults (j "fault");
-  (* the wire pending store is a durable stage too: report enqueues
-     and client acks journal as ops, and its delivery boundaries are
-     crash windows the matrix tests can kill inside *)
-  (match !(t.serve_cell) with
-  | Some s ->
-      Serve.set_journal s (j "serve");
-      Serve.set_fuse s (Some (fun label -> crash_point t ("serve:" ^ label)))
-  | None -> ());
+  List.iter
+    (fun s ->
+      s.hook (Some (fun payload -> Durable.journal d ~stage:s.name payload)))
+    (durable_stages t);
   (* every checkpoint/rotation boundary is a crash window the matrix
      tests can kill inside *)
-  Durable.set_fuse d (fun label -> crash_point t ("durable:" ^ label));
-  (* The reporter acknowledges deliveries externally, so its commit
-     must also be a sync barrier: a group-commit batch lost at a kill
-     may never contain a delivery intent whose report was sent.  The
-     fire path itself defers sink invocation to [commit_txn]'s flush;
-     this hook only serves [redeliver_pending] during restore. *)
-  Xy_reporter.Reporter.set_persistence t.reporter ~journal:(j "reporter")
-    ~commit:
-      (Some
-         (fun () ->
-           Durable.commit d;
-           Durable.barrier d))
+  Durable.set_fuse d (fun label -> crash_point t ("durable:" ^ label))
 
 (* ------------------------------------------------------------------ *)
 
@@ -506,13 +608,25 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
   t.manager <- Some manager;
   t
 
-let durable_config ?sync_every ?segment_bytes () =
+(* The option resolution [create] and [restore] share: validate the
+   parallel configuration, let [serve_config] win over [serve_port],
+   and fold the WAL knobs into a durable configuration. *)
+let resolve_options ?parallel ?serve_port ?serve_config ?sync_every
+    ?segment_bytes () =
+  Option.iter Parallel.validate parallel;
+  let serve_config =
+    match (serve_config, serve_port) with
+    | (Some _ as c), _ -> c
+    | None, Some port -> Some (Serve.config ~port ())
+    | None, None -> None
+  in
   let d = Durable.default_config in
-  {
-    d with
-    Durable.sync_every = Option.value ~default:d.Durable.sync_every sync_every;
-    segment_bytes = Option.value ~default:d.Durable.segment_bytes segment_bytes;
-  }
+  ( serve_config,
+    {
+      d with
+      Durable.sync_every = Option.value ~default:d.Durable.sync_every sync_every;
+      segment_bytes = Option.value ~default:d.Durable.segment_bytes segment_bytes;
+    } )
 
 let parallel_config t = t.parallel
 
@@ -626,14 +740,10 @@ let stop_serve ?drain t = Option.iter (Serve.stop ?drain) !(t.serve_cell)
 let create ?seed ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
     ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_port
     ?serve_config ?durable_dir ?sync_every ?segment_bytes () =
-  Option.iter Parallel.validate parallel;
-  let serve_config =
-    match (serve_config, serve_port) with
-    | (Some _ as c), _ -> c
-    | None, Some port -> Some (Serve.config ~port ())
-    | None, None -> None
+  let serve_config, config =
+    resolve_options ?parallel ?serve_port ?serve_config ?sync_every
+      ?segment_bytes ()
   in
-  let config = durable_config ?sync_every ?segment_bytes () in
   let durable = Option.map (Durable.open_fresh ~config) durable_dir in
   let t =
     make ?seed ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
@@ -661,87 +771,22 @@ type ingest_outcome = {
   matched : int list;
 }
 
-let kind_tag = function Loader.Xml -> 0 | Loader.Html -> 1 | Loader.Auto -> 2
-
-let kind_of_tag = function
-  | 0 -> Loader.Xml
-  | 1 -> Loader.Html
-  | 2 -> Loader.Auto
-  | n -> raise (Codec.Malformed (Printf.sprintf "unknown content kind %d" n))
-
-let ingest ?trace ?birth t ~url ~content ~kind =
-  Obs.Counter.incr t.m_ingested;
-  Obs.Histogram.time t.m_ingest_latency @@ fun () ->
-  let result =
-    Trace.wrap trace ~stage:"warehouse" ~name:"load" @@ fun () ->
-    Loader.load t.loader ~url ~content ~kind
-  in
-  (* Journal the load before the alerter chain runs: replay re-applies
-     it through the Loader alone — notifications and reports are
-     replayed from their own journaled ops, never re-derived, so a
-     restore cannot double-notify. *)
-  journal_op t ~stage:"warehouse" (fun buf ->
-      Codec.string buf "L";
-      Codec.string buf url;
-      Codec.int buf (kind_tag kind);
-      Codec.string buf content;
-      Codec.float buf (Xy_util.Clock.now t.clock));
-  match Chain.process ?trace t.chain ~result ~content with
-  | None -> { status = result.Loader.status; alerted = false; matched = [] }
-  | Some alert ->
-      t.alerts_sent <- t.alerts_sent + 1;
-      let matched =
-        Mqp.process t.mqp
-          {
-            Mqp.url = alert.Alert.url;
-            events = alert.Alert.events;
-            payload = Alert.payload_string alert;
-            trace;
-            birth;
-          }
-      in
-      journal_counters t;
-      if matched <> [] then
-        Log.debug (fun m ->
-            m "%s matched %d complex event(s)" url (List.length matched));
-      { status = result.Loader.status; alerted = true; matched }
-
-let ingest_missing ?trace t ~url =
-  let tree =
-    Option.bind (Store.find t.store url) (fun entry -> entry.Store.tree)
-  in
-  match Loader.delete t.loader ~url with
-  | None -> ()
-  | Some meta -> (
-      journal_op t ~stage:"warehouse" (fun buf ->
-          Codec.string buf "X";
-          Codec.string buf url;
-          Codec.float buf (Xy_util.Clock.now t.clock));
-      match Chain.process_deleted ?trace t.chain ~meta ~tree with
-      | None -> ()
-      | Some alert ->
-          t.alerts_sent <- t.alerts_sent + 1;
-          ignore
-            (Mqp.process t.mqp
-               {
-                 Mqp.url = alert.Alert.url;
-                 events = alert.Alert.events;
-                 payload = Alert.payload_string alert;
-                 trace;
-                 birth = None;
-               });
-          journal_counters t)
-
 (* ------------------------------------------------------------------ *)
-(* Batch ingestion: the sharded crawl → match → report pipeline.
+(* The per-document path (paper Figure 3: loader → alerters → MQP →
+   reporter/trigger), written once in two halves:
 
-   One crawl step's fetches are processed as a batch.  With
-   [parallel.domains <= 1] the batch runs through the historical
-   serial loop; otherwise it fans out over {!Parallel}: loader domains
-   parse/warehouse/diff/detect, MQP shards match, and this domain —
-   the single owner of journal, reporter and trigger state — drains
-   the results strictly in batch order, so both modes emit the same
-   notifications in the same order and journal the same ops. *)
+   - [load_doc] runs the loader and the alerter chain on a
+     [worker_ctx]; it may run on any domain;
+   - [apply_doc] does everything that touches serial state — journal,
+     counters, MQP dispatch, reporter, trigger, crawler — as one
+     transaction per document, on the owner domain.
+
+   One crawl step's fetches form a batch.  With [parallel.domains <= 1]
+   the batch runs both halves inline with the match in between;
+   otherwise {!Parallel} runs [load_doc] on loader domains, matches on
+   shard domains and hands the results to [apply_doc] strictly in
+   batch order.  Both modes thus emit the same notifications in the
+   same order and journal the same ops. *)
 
 type batch_doc = {
   bd_url : string;
@@ -751,12 +796,153 @@ type batch_doc = {
   bd_birth : float option;
 }
 
-(* What a loader domain hands to the drainer, alongside the alert the
-   engine routes to the shards. *)
-type batch_outcome =
-  | B_loaded of Loader.status * Mqp.alert option * float  (** load span *)
-  | B_quarantined of string
-  | B_missing of bool * Mqp.alert option  (** was warehoused? *)
+type load =
+  | Loaded of Loader.status
+  | Quarantined of string  (** the loader's rejection *)
+  | Missing of bool  (** the page disappeared; was it warehoused? *)
+
+(* What the load half hands the apply half. *)
+type doc_outcome = {
+  load : load;
+  alert : Mqp.alert option;  (** what the matcher gets, if anything *)
+  span : float;  (** wall seconds in the loader and the alerters *)
+}
+
+let mqp_alert_of (alert : Alert.t) ~trace ~birth =
+  {
+    Mqp.url = alert.Alert.url;
+    events = alert.Alert.events;
+    payload = Alert.payload_string alert;
+    trace;
+    birth;
+  }
+
+let load_doc ctx d =
+  match d.bd_content with
+  | None -> (
+      let tree =
+        Option.bind (Store.find (Loader.store ctx.wc_loader) d.bd_url)
+          (fun e -> e.Store.tree)
+      in
+      match Loader.delete ctx.wc_loader ~url:d.bd_url with
+      | None -> { load = Missing false; alert = None; span = 0. }
+      | Some meta ->
+          let alert =
+            Option.map
+              (mqp_alert_of ~trace:d.bd_trace ~birth:None)
+              (Chain.process_deleted ?trace:d.bd_trace ctx.wc_chain ~meta ~tree)
+          in
+          { load = Missing true; alert; span = 0. })
+  | Some content -> (
+      let t0 = Obs.now () in
+      match
+        Trace.wrap d.bd_trace ~stage:"warehouse" ~name:"load" @@ fun () ->
+        Loader.load ctx.wc_loader ~url:d.bd_url ~content ~kind:d.bd_kind
+      with
+      | exception Loader.Rejected reason ->
+          { load = Quarantined reason; alert = None; span = Obs.now () -. t0 }
+      | result ->
+          let alert =
+            Option.map
+              (mqp_alert_of ~trace:d.bd_trace ~birth:d.bd_birth)
+              (Chain.process ?trace:d.bd_trace ctx.wc_chain ~result ~content)
+          in
+          { load = Loaded result.Loader.status; alert; span = Obs.now () -. t0 })
+
+(* The owner domain's own loader and chain, for the inline path. *)
+let owner_ctx t = { wc_obs = t.obs; wc_loader = t.loader; wc_chain = t.chain }
+
+(* The inline stand-in for a shard visit, timed as a shard times it. *)
+let match_inline t alert =
+  Option.map
+    (fun alert ->
+      let t0 = Obs.now () in
+      let ids = Mqp.match_alert t.mqp alert in
+      (ids, Obs.now () -. t0))
+    alert
+
+(* A document's effects on serial state, inside the caller's
+   transaction; returns the complex events it notified.  Op order:
+   the [L]/[X] op, then the reporter's (through dispatch), then the
+   counters. *)
+let apply_effects t ~conclude d o matched =
+  let dispatch () =
+    match (o.alert, matched) with
+    | Some alert, Some (ids, latency) ->
+        t.alerts_sent <- t.alerts_sent + 1;
+        let ids = Mqp.dispatch_matched t.mqp alert ~matched:ids ~latency in
+        journal_counters t;
+        ids
+    | _ -> []
+  in
+  let concluded changed =
+    if conclude then Xy_crawler.Crawler.conclude t.crawler ~url:d.bd_url ~changed
+  in
+  (* one definition in every mode: each document with content that
+     reached the loader is ingested, quarantined ones included, and its
+     latency is load + alerters + match *)
+  let ingested () =
+    Obs.Counter.incr t.m_ingested;
+    Obs.Histogram.observe t.m_ingest_latency
+      (o.span +. match matched with Some (_, latency) -> latency | None -> 0.)
+  in
+  match o.load with
+  | Missing false -> []
+  | Missing true ->
+      journal_op t ~stage:"warehouse" (fun buf ->
+          Codec.string buf "X";
+          Codec.string buf d.bd_url;
+          Codec.float buf (Xy_util.Clock.now t.clock));
+      dispatch ()
+  | Quarantined reason ->
+      (* Unparseable documents are quarantined, not fatal: the
+         rejection is counted, logged and the crawl goes on, so a
+         corrupted page cannot take the pipeline down. *)
+      ingested ();
+      Obs.Counter.incr t.m_quarantined;
+      Log.warn (fun m -> m "quarantined %s: %s" d.bd_url reason);
+      concluded true;
+      []
+  | Loaded status ->
+      ingested ();
+      (* Replay re-applies the load through the Loader alone —
+         notifications and reports are replayed from their own
+         journaled ops, never re-derived, so a restore cannot
+         double-notify. *)
+      journal_op t ~stage:"warehouse" (fun buf ->
+          Codec.string buf "L";
+          Codec.string buf d.bd_url;
+          Codec.int buf (kind_tag d.bd_kind);
+          Codec.string buf (Option.get d.bd_content);
+          Codec.float buf (Xy_util.Clock.now t.clock));
+      let ids = dispatch () in
+      concluded (status <> Loader.Unchanged);
+      ids
+
+(* One batch document, as one transaction: the crash point comes
+   before any of its journal ops. *)
+let apply_doc t ~conclude d o matched =
+  crash_point t ("ingest:" ^ d.bd_url);
+  ignore (apply_effects t ~conclude d o matched);
+  (* The document's synchronous journey ends here; reports held
+     back by buffering fire from [tick] without attribution. *)
+  Option.iter Trace.finish d.bd_trace;
+  commit_txn t
+
+(* A single document outside any batch (self-monitoring and SLO
+   documents inside [advance], tests, examples): the same two halves,
+   but inside the caller's transaction and trace. *)
+let ingest ?trace ?birth t ~url ~content ~kind =
+  let d =
+    { bd_url = url; bd_content = Some content; bd_kind = kind;
+      bd_trace = trace; bd_birth = birth }
+  in
+  let o = load_doc (owner_ctx t) d in
+  let matched = apply_effects t ~conclude:false d o (match_inline t o.alert) in
+  match o.load with
+  | Loaded status -> { status; alerted = o.alert <> None; matched }
+  | Quarantined reason -> raise (Loader.Rejected reason)
+  | Missing _ -> assert false (* [d] has content *)
 
 let worker_ctxs t ~domains =
   if Array.length t.worker_ctxs <> domains then
@@ -831,48 +1017,6 @@ let absorb_worker_obs t ctxs =
       Obs.reset ctx.wc_obs)
     ctxs
 
-let mqp_alert_of (alert : Alert.t) ~trace ~birth =
-  {
-    Mqp.url = alert.Alert.url;
-    events = alert.Alert.events;
-    payload = Alert.payload_string alert;
-    trace;
-    birth;
-  }
-
-(* The serial member of the pair: byte-for-byte the historical
-   [crawl_step] per-document body. *)
-let process_one_serial t ~conclude d =
-  crash_point t ("ingest:" ^ d.bd_url);
-  (match d.bd_content with
-  | None -> ingest_missing ?trace:d.bd_trace t ~url:d.bd_url
-  | Some content ->
-      (* Unparseable documents are quarantined, not fatal: the
-         rejection is counted, logged and the crawl goes on, so a
-         corrupted page cannot take the pipeline down. *)
-      let outcome =
-        match
-          ingest ?trace:d.bd_trace ?birth:d.bd_birth t ~url:d.bd_url ~content
-            ~kind:d.bd_kind
-        with
-        | outcome -> Some outcome
-        | exception Loader.Rejected reason ->
-            Obs.Counter.incr t.m_quarantined;
-            Log.warn (fun m -> m "quarantined %s: %s" d.bd_url reason);
-            None
-      in
-      let changed =
-        match outcome with
-        | Some { status = Loader.Unchanged; _ } -> false
-        | Some _ | None -> true
-      in
-      if conclude then
-        Xy_crawler.Crawler.conclude t.crawler ~url:d.bd_url ~changed);
-  (* The document's synchronous journey ends here; reports held
-     back by buffering fire from [tick] without attribution. *)
-  Option.iter Trace.finish d.bd_trace;
-  commit_txn t
-
 let process_batch t ~conclude docs =
   (* DOCID pre-pass, in batch order on this domain: numbering must not
      depend on which loader domain finishes first (the id is embedded
@@ -892,7 +1036,12 @@ let process_batch t ~conclude docs =
   commit_txn t;
   let config = t.parallel in
   if config.Parallel.domains <= 1 || docs = [] then
-    List.iter (process_one_serial t ~conclude) docs
+    let ctx = owner_ctx t in
+    List.iter
+      (fun d ->
+        let o = load_doc ctx d in
+        apply_doc t ~conclude d o (match_inline t o.alert))
+      docs
   else begin
     let docs = Array.of_list docs in
     (* Worker-death draws happen here, serially: [Fault.fire] counts
@@ -911,94 +1060,16 @@ let process_batch t ~conclude docs =
           let subsets = shard_subsets t ~shards:config.Parallel.shards in
           fun ~dest alert -> Mqp.match_alert subsets.(dest) alert
     in
-    let worker ~slot d =
-      let ctx = ctxs.(slot) in
-      match d.bd_content with
-      | None -> (
-          let tree =
-            Option.bind (Store.find t.store d.bd_url) (fun e -> e.Store.tree)
-          in
-          match Loader.delete ctx.wc_loader ~url:d.bd_url with
-          | None -> (B_missing (false, None), None)
-          | Some meta ->
-              let alert =
-                Option.map
-                  (mqp_alert_of ~trace:d.bd_trace ~birth:None)
-                  (Chain.process_deleted ?trace:d.bd_trace ctx.wc_chain ~meta
-                     ~tree)
-              in
-              (B_missing (true, alert), alert))
-      | Some content -> (
-          let t0 = Obs.now () in
-          match
-            Trace.wrap d.bd_trace ~stage:"warehouse" ~name:"load" @@ fun () ->
-            Loader.load ctx.wc_loader ~url:d.bd_url ~content ~kind:d.bd_kind
-          with
-          | exception Loader.Rejected reason -> (B_quarantined reason, None)
-          | result ->
-              let alert =
-                Option.map
-                  (mqp_alert_of ~trace:d.bd_trace ~birth:d.bd_birth)
-                  (Chain.process ?trace:d.bd_trace ctx.wc_chain ~result
-                     ~content)
-              in
-              ( B_loaded (result.Loader.status, alert, Obs.now () -. t0),
-                alert ))
-    in
-    (* Drainer: mirrors [process_one_serial]'s per-document effects —
-       same journal ops, same counters, same listener dispatch — just
-       with the load and the match already done elsewhere. *)
-    let dispatch alert matched =
-      match (alert, matched) with
-      | Some alert, Some (ids, latency) ->
-          t.alerts_sent <- t.alerts_sent + 1;
-          ignore (Mqp.dispatch_matched t.mqp alert ~matched:ids ~latency);
-          journal_counters t
-      | _ -> ()
-    in
-    let drain idx outcome matched =
-      let d = docs.(idx) in
-      crash_point t ("ingest:" ^ d.bd_url);
-      (match outcome with
-      | B_missing (deleted, alert) ->
-          if deleted then begin
-            journal_op t ~stage:"warehouse" (fun buf ->
-                Codec.string buf "X";
-                Codec.string buf d.bd_url;
-                Codec.float buf (Xy_util.Clock.now t.clock));
-            dispatch alert matched
-          end
-      | B_quarantined reason ->
-          Obs.Counter.incr t.m_quarantined;
-          Log.warn (fun m -> m "quarantined %s: %s" d.bd_url reason);
-          if conclude then
-            Xy_crawler.Crawler.conclude t.crawler ~url:d.bd_url ~changed:true
-      | B_loaded (status, alert, span) ->
-          Obs.Counter.incr t.m_ingested;
-          Obs.Histogram.observe t.m_ingest_latency
-            (span
-            +. match matched with Some (_, latency) -> latency | None -> 0.);
-          journal_op t ~stage:"warehouse" (fun buf ->
-              Codec.string buf "L";
-              Codec.string buf d.bd_url;
-              Codec.int buf (kind_tag d.bd_kind);
-              Codec.string buf (Option.get d.bd_content);
-              Codec.float buf (Xy_util.Clock.now t.clock));
-          dispatch alert matched;
-          if conclude then
-            Xy_crawler.Crawler.conclude t.crawler ~url:d.bd_url
-              ~changed:(status <> Loader.Unchanged));
-      Option.iter Trace.finish d.bd_trace;
-      commit_txn t
-    in
-    let finish_batch () = absorb_worker_obs t ctxs in
     match
       Parallel.run config ~obs:t.obs ~docs ~kill
         ~url_of:(fun d -> d.bd_url)
-        ~worker ~shard_match ~drain ()
+        ~worker:(fun ~slot d ->
+          let o = load_doc ctxs.(slot) d in
+          (o, o.alert))
+        ~shard_match ~drain:(apply_doc t ~conclude) ()
     with
     | stats ->
-        finish_batch ();
+        absorb_worker_obs t ctxs;
         if stats.Parallel.p_deaths > 0 || stats.Parallel.p_steals > 0 then
           Log.debug (fun m ->
               m "parallel batch: %d death(s), %d steal(s) moving %d item(s)"
@@ -1008,7 +1079,7 @@ let process_batch t ~conclude docs =
         (* a [crash_point] fired in the drainer: every domain has
            still been joined — account the workers' metrics before
            the crash propagates *)
-        finish_batch ();
+        absorb_worker_obs t ctxs;
         raise e
   end
 
@@ -1276,71 +1347,6 @@ let run_resumable ?(checkpoint_every = 0) t ~days ~step ~fetch_limit =
   done;
   Option.iter Durable.barrier t.durable
 
-let apply_system_op t payload =
-  let r = Codec.reader payload in
-  (match Codec.read_string r with
-  | "A" ->
-      let seconds = Codec.read_float r in
-      Xy_util.Clock.advance t.clock seconds;
-      ignore (Xy_crawler.Synthetic_web.evolve t.web ~elapsed:seconds);
-      t.mid_step <- true
-  | "S" ->
-      t.steps_done <- Codec.read_int r;
-      Xy_util.Clock.set t.clock (Codec.read_float r);
-      t.mid_step <- false
-  | "c" ->
-      t.alerts_sent <- Codec.read_int r;
-      let alerts_processed = Codec.read_int r in
-      let notifications_emitted = Codec.read_int r in
-      Mqp.restore_counters t.mqp ~alerts_processed ~notifications_emitted
-  | "M" ->
-      t.self_monitor_deadline <-
-        (if Codec.read_bool r then Some (Codec.read_float r) else None)
-  | tag -> raise (Codec.Malformed ("unknown system op " ^ tag)));
-  Codec.expect_end r
-
-(* Warehouse ops replay through the Loader alone — no alerter chain,
-   no MQP, no reporter: those stages replay their own journaled ops,
-   so the restored pipeline cannot double-notify. *)
-let apply_warehouse_op t payload =
-  let r = Codec.reader payload in
-  (match Codec.read_string r with
-  | "L" ->
-      let url = Codec.read_string r in
-      let kind = kind_of_tag (Codec.read_int r) in
-      let content = Codec.read_string r in
-      let at = Codec.read_float r in
-      Xy_util.Clock.set t.clock at;
-      (try ignore (Loader.load t.loader ~url ~content ~kind)
-       with Loader.Rejected _ -> ())
-  | "X" ->
-      let url = Codec.read_string r in
-      let at = Codec.read_float r in
-      Xy_util.Clock.set t.clock at;
-      ignore (Loader.delete t.loader ~url)
-  | "D" ->
-      (* batch DOCID pre-allocation: replay in journal order keeps the
-         numbering identical to the run that wrote it *)
-      let url = Codec.read_string r in
-      ignore (Store.allocate_docid t.store ~url)
-  | tag -> raise (Codec.Malformed ("unknown warehouse op " ^ tag)));
-  Codec.expect_end r
-
-let apply_replay_op t { Durable.stage; payload } =
-  match stage with
-  | "queue" -> Xy_crawler.Fetch_queue.apply_op t.queue payload
-  | "crawler" -> Xy_crawler.Crawler.apply_op t.crawler payload
-  | "trigger" -> Xy_trigger.Trigger_engine.apply_op t.trigger payload
-  | "reporter" -> Xy_reporter.Reporter.apply_op t.reporter payload
-  | "fault" -> Fault.apply_op t.faults payload
-  | "warehouse" -> apply_warehouse_op t payload
-  | "system" -> apply_system_op t payload
-  | "serve" -> (
-      match !(t.serve_cell) with
-      | Some s -> Serve.apply_op s payload
-      | None -> () (* restored without a serving surface: drop *))
-  | other -> raise (Codec.Malformed ("unknown stage " ^ other))
-
 type restore_info = {
   generation : int;
   subscriptions_recovered : int;
@@ -1353,14 +1359,10 @@ type restore_info = {
 let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
     ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_port
     ?serve_config ?sync_every ?segment_bytes ~dir () =
-  Option.iter Parallel.validate parallel;
-  let serve_config =
-    match (serve_config, serve_port) with
-    | (Some _ as c), _ -> c
-    | None, Some port -> Some (Serve.config ~port ())
-    | None, None -> None
+  let serve_config, config =
+    resolve_options ?parallel ?serve_port ?serve_config ?sync_every
+      ?segment_bytes ()
   in
-  let config = durable_config ?sync_every ?segment_bytes () in
   match Durable.open_existing ~config dir with
   | None -> Error (Printf.sprintf "no durable run in %s (missing MANIFEST)" dir)
   | Some d -> (
@@ -1386,24 +1388,16 @@ let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
           match
             (* 2. State: the snapshot's sections, then 3. the WAL's
                committed transactions, in commit order. *)
-            let apply name f =
-              match List.assoc_opt name sections with
-              | Some payload -> f payload
-              | None -> ()
-            in
-            apply "system" (decode_system t);
-            apply "obs" (decode_obs t);
-            apply "fault" (Fault.decode_snapshot t.faults);
-            apply "web" (Xy_crawler.Synthetic_web.decode_snapshot t.web);
-            apply "warehouse" (Store.decode_snapshot t.store);
-            apply "queue" (Xy_crawler.Fetch_queue.decode_snapshot t.queue);
-            apply "crawler" (Xy_crawler.Crawler.decode_snapshot t.crawler);
-            apply "trigger" (Xy_trigger.Trigger_engine.decode_snapshot t.trigger);
-            apply "reporter" (Xy_reporter.Reporter.decode_snapshot t.reporter);
-            (match !(t.serve_cell) with
-            | Some s -> apply "serve" (Serve.decode_snapshot s)
-            | None -> ());
-            List.iter (List.iter (apply_replay_op t)) txns
+            let stages = durable_stages t in
+            List.iter
+              (fun s -> Option.iter s.decode (List.assoc_opt s.name sections))
+              stages;
+            List.iter
+              (List.iter (fun { Durable.stage; payload } ->
+                   match List.find_opt (fun s -> s.name = stage) stages with
+                   | Some s -> s.apply payload
+                   | None -> raise (Codec.Malformed ("unknown stage " ^ stage))))
+              txns
           with
           | exception Codec.Malformed m ->
               Error ("damaged durable state: " ^ m)

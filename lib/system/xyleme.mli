@@ -8,19 +8,12 @@
 
 type t
 
-(** [monotonic_wall ()] is [Unix.gettimeofday] behind a
-    compare-and-swap ratchet: it never retreats, even when NTP steps
-    the wall clock backwards.  {!create} installs it as the xy_obs and
-    xy_trace timer (whose built-in default, [Sys.time], measures CPU
-    seconds and makes blocked I/O invisible). *)
-val monotonic_wall : unit -> float
-
 (** [create ()] wires a fresh registry into every stage: all pipeline
     metrics (crawler, warehouse, alerters, mqp, trigger, reporter,
     submgr, system) land in [obs] (a private {!Xy_obs.Obs.create}d
     registry by default — pass one to share it, e.g. with a {!Bus}).
-    The {!monotonic_wall} timer is installed into xy_obs and xy_trace
-    as a side effect.
+    The never-retreating {!Wall.monotonic} timer is installed into
+    xy_obs as a side effect ({!Wall.install_timers}).
 
     [tracer] carries per-document pipeline tracing (default: a fresh
     {!Xy_trace.Trace.create}d tracer with sampling disabled — enable
@@ -41,6 +34,12 @@ val monotonic_wall : unit -> float
     rejects as unparseable (e.g. the [malformed] point fired) are
     quarantined: counted under [fault/quarantined], logged, and
     skipped — never fatal.
+
+    Every mode counts a document the same way: [system/ingested]
+    counts each document with content that reached the loader,
+    quarantined ones included, and [system/ingest_latency] times its
+    load + alerters + match (a parallel run sums the loader domain's
+    and the shard domains' wall time).
 
     [durable_dir] makes the whole system durable: the directory is
     (re)initialised ({!Xy_durable.Durable.open_fresh}), the
@@ -215,10 +214,13 @@ type ingest_outcome = {
 }
 
 (** [ingest t ~url ~content ~kind] pushes one fetched page through
-    loader → alerters → processor.  A [trace] context attributes each
-    stage to the document's trace; the caller remains responsible for
-    {!Xy_trace.Trace.finish}.  [birth] is the virtual birth time of
-    the oldest change this content carries
+    loader → alerters → processor → reporter/trigger: the batch's
+    per-document path (see {!ingest_batch}), run inline and inside the
+    caller's transaction.  An unparseable page is quarantined exactly
+    as in a batch, then [Loader.Rejected] is raised.  A [trace] context
+    attributes each stage to the document's trace; the caller remains
+    responsible for {!Xy_trace.Trace.finish}.  [birth] is the virtual
+    birth time of the oldest change this content carries
     ({!Xy_crawler.Crawler.fetch.birth}): it rides the alert to the
     reporter, which records the end-to-end notification lag when the
     resulting report fires. *)
@@ -231,19 +233,20 @@ val ingest :
   kind:Xy_warehouse.Loader.content_kind ->
   ingest_outcome
 
-(** [ingest_missing t ~url] handles a page that disappeared. *)
-val ingest_missing : ?trace:Xy_trace.Trace.ctx -> t -> url:string -> unit
-
 (** {2 Batch ingestion — the sharded pipeline}
 
     One crawl step's fetches form a batch.  With a [parallel]
     configuration of [domains > 1], {!ingest_batch} (and {!crawl_step},
     which routes through the same path) fans the batch out over the
-    {!Parallel} engine; otherwise it runs the documents through the
-    serial path one by one.  Both modes first pre-allocate (and, when
-    durable, journal) DOCIDs for fresh URLs in batch order, so document
-    numbering — which is embedded in alert payloads — never depends on
-    which loader domain finishes first. *)
+    {!Parallel} engine; otherwise it runs the documents one by one.
+    Either way each document takes the same path — loader and
+    alerters, match, then one transaction applying its journal ops,
+    counters, notifications and reports — and a page that disappeared
+    ([bd_content = None]) is deleted from the warehouse and alerted
+    on.  Both modes first pre-allocate (and, when durable, journal)
+    DOCIDs for fresh URLs in batch order, so document numbering —
+    which is embedded in alert payloads — never depends on which
+    loader domain finishes first. *)
 
 type batch_doc = {
   bd_url : string;

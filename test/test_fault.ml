@@ -1000,6 +1000,21 @@ let test_restore_refuses_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "restored from a corrupt snapshot"
 
+(* A WAL op under a stage no system journals is damage, not
+   something to skip. *)
+let test_restore_rejects_unknown_stage () =
+  with_temp_dir @@ fun dir ->
+  let d = Durable.open_fresh dir in
+  Durable.journal d ~stage:"bogus" "payload";
+  Durable.commit d;
+  Durable.barrier d;
+  let prefix = "damaged durable state: " in
+  match Xyleme.restore ~dir () with
+  | Error e ->
+      checks "damage reported" prefix
+        (String.sub e 0 (min (String.length e) (String.length prefix)))
+  | Ok _ -> Alcotest.fail "restored a WAL with an unknown stage"
+
 (* The at-least-once protocol in isolation: a journaled delivery
    intent ("F") with no ack is re-sent by redeliver_pending with its
    original sequence number; acked intents are not. *)
@@ -1948,6 +1963,7 @@ let () =
           tc "snapshot sections roundtrip" test_snapshot_sections_roundtrip;
           tc "restore completed run" test_restore_completed_run;
           tc "restore refuses garbage" test_restore_refuses_garbage;
+          tc "restore rejects an unknown stage" test_restore_rejects_unknown_stage;
           tc "reporter re-delivers unacked intents"
             test_reporter_redelivers_unacked;
           tc "directory sink idempotent re-delivery"

@@ -1,10 +1,11 @@
 (* The sharded pipeline must be observationally identical to the
    serial loop: same notification multiset, same stats, same
-   per-stage counter totals — on both distribution axes, with and
-   without work stealing and worker-death faults.  Plus per-axis
-   fan-out, cross-domain trace propagation, configuration validation,
-   and unit tests for the work-stealing bus primitives, the padded
-   counters and the idempotent wall-clock installation. *)
+   per-stage counter totals, same write-ahead log — on both
+   distribution axes, with and without work stealing and worker-death
+   faults.  Plus per-axis fan-out, cross-domain trace propagation,
+   configuration validation, and unit tests for the work-stealing bus
+   primitives, the padded counters and the idempotent wall-clock
+   installation. *)
 
 module Xyleme = Xy_system.Xyleme
 module Parallel = Xy_system.Parallel
@@ -19,6 +20,7 @@ module Partition = Xy_core.Partition
 module Obs = Xy_obs.Obs
 module Fault = Xy_fault.Fault
 module Trace = Xy_trace.Trace
+module Durable = Xy_durable.Durable
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -113,10 +115,11 @@ report when count > 5 atmost weekly|}
 let sites = 6
 
 (* A system over a small synthetic web with 18 subscriptions. *)
-let make_system ?fault_plan ?parallel ?algorithm ~sink ~obs () =
+let make_system ?fault_plan ?parallel ?algorithm ?durable_dir ~sink ~obs () =
   let web = Web.generate ~seed:5 ~sites ~pages_per_site:4 () in
   let t =
-    Xyleme.create ~seed:11 ?algorithm ~sink ~web ~obs ?fault_plan ?parallel ()
+    Xyleme.create ~seed:11 ?algorithm ~sink ~web ~obs ?fault_plan ?parallel
+      ?durable_dir ()
   in
   for i = 0 to 17 do
     match Xyleme.subscribe t ~owner:(Printf.sprintf "u%d" i)
@@ -154,8 +157,15 @@ type run = {
   worker_faults : int;  (** [Fault.injected] for the [worker] point *)
 }
 
+(* An unparseable page, appended to every batch: it is quarantined,
+   and must be counted the same way in every mode. *)
+let broken_doc =
+  { Xyleme.bd_url = "http://site0.example.org/broken.xml";
+    bd_content = Some "<a><b></a>"; bd_kind = Loader.Xml; bd_trace = None;
+    bd_birth = None }
+
 (* One deterministic workload: the web evolved over [rounds] batches
-   through [ingest_batch]. *)
+   through [ingest_batch], one quarantined document per batch. *)
 let run_workload ?fault_plan ?parallel ?algorithm ~rounds () =
   let sink, deliveries = Sink.memory () in
   let obs = Obs.create () in
@@ -166,7 +176,7 @@ let run_workload ?fault_plan ?parallel ?algorithm ~rounds () =
         Printf.sprintf "%d|%s|%s" n.Mqp.complex_id n.Mqp.url n.Mqp.payload
         :: !notifs);
   for _round = 1 to rounds do
-    Xyleme.ingest_batch t (fetch_batch web);
+    Xyleme.ingest_batch t (fetch_batch web @ [ broken_doc ]);
     Xy_util.Clock.advance (Xyleme.clock t) 3600.;
     ignore (Web.evolve web ~elapsed:3600.)
   done;
@@ -191,8 +201,25 @@ let pipeline_counters (snap : Obs.Snapshot.t) =
       | _ -> None)
     snap.Obs.Snapshot.entries
 
+let ingest_latency_count run =
+  match Obs.Snapshot.find run.snap ~stage:"system" "ingest_latency" with
+  | Some (Obs.Snapshot.Histogram h) -> h.Obs.Snapshot.count
+  | _ -> 0
+
 let check_equiv ~label serial parallel_run =
   let s_stats = serial.stats and p_stats = parallel_run.stats in
+  (* [pipeline_counters] skips the [fault] stage, and histograms are
+     not counters: the quarantine count and the ingest timings are
+     checked by name *)
+  let quarantined run =
+    Obs.Snapshot.counter_value run.snap ~stage:"fault" "quarantined"
+  in
+  checkb (label ^ ": documents quarantined") true (quarantined serial > 0);
+  checki (label ^ ": quarantined") (quarantined serial)
+    (quarantined parallel_run);
+  checki (label ^ ": ingest latency samples")
+    (ingest_latency_count serial)
+    (ingest_latency_count parallel_run);
   Alcotest.(check (list string))
     (label ^ ": notification multiset") serial.notifs parallel_run.notifs;
   checki (label ^ ": deliveries") serial.deliveries parallel_run.deliveries;
@@ -297,6 +324,64 @@ let test_equiv_worker_deaths () =
   checkb "subs axis: deaths occurred" true (deaths_of subs > 0);
   check_respawns ~label:"subs" subs;
   check_equiv ~label:"subs/deaths" serial subs
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "xy_parallel" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> try rm dir with Sys_error _ -> ()) (fun () -> f dir)
+
+(* The journal is part of the contract: a durable run writes the same
+   WAL, op for op and in the same transactions, whatever the
+   configuration.  Fetch failures and malformed (quarantined)
+   documents are armed so the failure paths journal too. *)
+let durable_wal ?parallel () =
+  with_temp_dir @@ fun dir ->
+  let sink, _ = Sink.memory () in
+  let obs = Obs.create () in
+  let t, _web =
+    make_system ~sink ~obs ?parallel ~durable_dir:dir
+      ~fault_plan:[ ("fetch", 0.1); ("malformed", 0.05) ]
+      ()
+  in
+  Xyleme.run t ~days:3. ~step:(6. *. 3600.) ~fetch_limit:200;
+  let quarantined =
+    Obs.Snapshot.counter_value (Obs.snapshot obs) ~stage:"fault" "quarantined"
+  in
+  match Durable.open_existing dir with
+  | None -> Alcotest.fail "durable run left no manifest"
+  | Some d -> (
+      match Durable.load_latest d with
+      | Ok (_, txns, _) -> (txns, quarantined)
+      | Error e -> Alcotest.fail ("unreadable journal: " ^ e))
+
+let test_equiv_wal () =
+  let serial, quarantined = durable_wal () in
+  let ops txns = List.length (List.concat txns) in
+  checkb "documents were quarantined" true (quarantined > 0);
+  checkb "ops were journaled" true (ops serial > 0);
+  List.iter
+    (fun (label, axis) ->
+      let par, _ =
+        durable_wal ~parallel:(parallel ~domains:2 ~shards:2 axis) ()
+      in
+      checki (label ^ ": transactions") (List.length serial) (List.length par);
+      checki (label ^ ": ops") (ops serial) (ops par);
+      List.iteri
+        (fun i (s, p) ->
+          if s <> p then
+            Alcotest.failf "%s: transaction %d differs (%d vs %d ops)" label i
+              (List.length s) (List.length p))
+        (List.combine serial par))
+    [ ("docs", Partition.Split_documents);
+      ("subs", Partition.Split_subscriptions) ]
 
 (* Randomized sweep over the configuration space: any (domains,
    shards, axis, steal, faults) must reproduce the serial multiset. *)
@@ -511,6 +596,7 @@ let () =
           Alcotest.test_case "subscription axis" `Quick test_equiv_subs_axis;
           Alcotest.test_case "aes-compact matcher" `Quick test_equiv_compact;
           Alcotest.test_case "worker deaths" `Quick test_equiv_worker_deaths;
+          Alcotest.test_case "durable wal" `Quick test_equiv_wal;
           QCheck_alcotest.to_alcotest qcheck_equiv;
         ] );
       ( "fan-out",

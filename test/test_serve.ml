@@ -17,6 +17,7 @@ module Sink = Xy_reporter.Sink
 module Web = Xy_crawler.Synthetic_web
 module Printer = Xy_xml.Printer
 module Manager = Xy_submgr.Manager
+module Durable = Xy_durable.Durable
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -1097,6 +1098,42 @@ let test_telemetry_and_serve_coexist () =
 
 (* ------------------------------------------------------------------ *)
 
+(* A served durable run's directory restored without a serving
+   surface: the snapshot's [serve] section is skipped, the WAL's
+   [serve] ops are dropped, and the rest of the state comes back. *)
+let test_restore_without_serve () =
+  with_temp_dir @@ fun dir ->
+  let x =
+    Xyleme.create ~seed:m_seed ~web:(m_web ()) ~durable_dir:dir ~serve_port:0 ()
+  in
+  let s, c = m_connect x in
+  ignore (wire_subscribe x c ~text:(site_subscription ~name:"Wm" ()));
+  (* one early checkpoint writes the serve section; the whole run's
+     deliveries and acks then stay in the WAL *)
+  ignore (Xyleme.checkpoint x);
+  let received = Hashtbl.create 64 in
+  Xyleme.run_resumable x ~days:m_days ~step:m_step ~fetch_limit:m_fetch;
+  drain_reports ~pump:(fun () -> Xyleme.serve_pump x) s c received;
+  close_client c;
+  Xyleme.stop_serve x;
+  checkb "reports were served" true (Hashtbl.length received > 0);
+  (match Option.map Durable.load_latest (Durable.open_existing dir) with
+  | Some (Ok (sections, txns, _)) ->
+      checkb "snapshot carries a serve section" true
+        (List.mem_assoc "serve" sections);
+      checkb "wal carries serve ops" true
+        (List.exists (List.exists (fun op -> op.Durable.stage = "serve")) txns)
+  | Some (Error e) -> Alcotest.failf "unreadable directory: %s" e
+  | None -> Alcotest.fail "no durable run written");
+  match Xyleme.restore ~seed:m_seed ~web:(m_web ()) ~dir () with
+  | Error e -> Alcotest.failf "restore without serving surface: %s" e
+  | Ok (x', _) ->
+      checkb "no serving surface" true (Xyleme.serve x' = None);
+      checki "schedule position restored" (Xyleme.steps_done x)
+        (Xyleme.steps_done x');
+      checki "documents restored" (Xyleme.stats x).Xyleme.documents_stored
+        (Xyleme.stats x').Xyleme.documents_stored
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let qc = QCheck_alcotest.to_alcotest in
@@ -1149,7 +1186,10 @@ let () =
           tc "abrupt disconnect then resume" test_abrupt_disconnect_then_resume;
         ] );
       ( "crash matrix",
-        [ tc "kill at every boundary over the wire" test_serve_crash_matrix ] );
+        [
+          tc "kill at every boundary over the wire" test_serve_crash_matrix;
+          tc "restore without serving surface" test_restore_without_serve;
+        ] );
       ( "listener",
         [
           tc "rebind released port" test_listener_rebind;

@@ -289,7 +289,9 @@ report when immediate|});
     (Xyleme.ingest t ~url:"http://inria.fr/Xy/tmp.xml" ~content:"<d/>"
        ~kind:Loader.Xml);
   checki "nothing yet" 0 (List.length !deliveries);
-  Xyleme.ingest_missing t ~url:"http://inria.fr/Xy/tmp.xml";
+  Xyleme.ingest_batch t
+    [ { Xyleme.bd_url = "http://inria.fr/Xy/tmp.xml"; bd_content = None;
+        bd_kind = Loader.Xml; bd_trace = None; bd_birth = None } ];
   checki "deletion reported" 1 (List.length !deliveries)
 
 let test_batch_report_count () =
@@ -574,7 +576,7 @@ let test_monotonic_wall () =
      underlying clock steps backwards. *)
   let prev = ref 0. in
   for _ = 1 to 1_000 do
-    let t = Xyleme.monotonic_wall () in
+    let t = Xy_system.Wall.monotonic () in
     checkb "never retreats" true (t >= !prev);
     prev := t
   done;
