@@ -231,9 +231,9 @@ let run_simulation ?(trace_every = 0) ?algorithm ?fault_plan
             info.Xy_system.Xyleme.subscriptions_recovered
             info.Xy_system.Xyleme.txns_replayed
             (match info.Xy_system.Xyleme.wal_tail with
-            | Xy_durable.Durable.Clean -> "clean"
-            | Xy_durable.Durable.Torn -> "torn"
-            | Xy_durable.Durable.Corrupt -> "corrupt")
+            | Xy_durable.Record.Clean -> "clean"
+            | Xy_durable.Record.Torn -> "torn"
+            | Xy_durable.Record.Corrupt -> "corrupt")
             info.Xy_system.Xyleme.requeued_fetches
             info.Xy_system.Xyleme.redelivered_reports
             (Xy_system.Xyleme.steps_done xyleme);

@@ -2,6 +2,7 @@ let log = Logs.Src.create "xy.durable" ~doc:"checkpoint + WAL durability"
 
 module Log = (val Logs.src_log log : Logs.LOG)
 module Obs = Xy_obs.Obs
+module Codec = Xy_util.Codec
 
 (* Durability timings, registered under the [durable] stage once a
    caller hands over a registry ({!set_obs}): checkpoint pauses and
@@ -14,72 +15,38 @@ type metrics = {
 }
 
 type op = { stage : string; payload : string }
-type tail = Clean | Torn | Corrupt
 
 type config = { sync_every : int; segment_bytes : int; fsync : bool }
 
 let default_config =
   { sync_every = 32; segment_bytes = 4 * 1024 * 1024; fsync = true }
 
-let checksum payload = Xy_util.Hashing.signature payload
-
-(* Recovery-path readers must not be lenient: a damaged length field
-   shaped like "0x10" or "1_0" would otherwise parse as valid. *)
+(* Recovery-path readers must not be lenient: a damaged generation
+   number shaped like "0x10" or "1_0" would otherwise parse as
+   valid. *)
 let decimal = Xy_util.Parse.decimal_int
 
-(* {2 The sync helper}
-
-   Everything that claims durability funnels through these two
-   functions: an atomic temp+rename survives a process kill but not a
-   power loss unless the file's bytes were fsynced before the rename
-   and the directory entry after it.  [fsync:false] (tests, benches
-   that only model kills) degrades both to plain flushes. *)
-
-let sync_channel ?(fsync = true) oc =
-  flush oc;
-  if fsync then Unix.fsync (Unix.descr_of_out_channel oc)
-
-let sync_dir ?(fsync = true) dir =
-  if fsync then
-    match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-        (try Unix.fsync fd with Unix.Unix_error _ -> ());
-        Unix.close fd
-
-(* A transaction's payload: each op framed as
-     <stage> <payload_len>\n<payload bytes>
-   concatenated.  Stage names contain no spaces or newlines. *)
+(* A transaction's payload: its ops as a {!Codec} list of
+   (stage, payload) string pairs. *)
 let encode_ops ops =
   let buf = Buffer.create 256 in
-  List.iter
-    (fun { stage; payload } ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s %d\n" stage (String.length payload));
-      Buffer.add_string buf payload)
+  Codec.list buf
+    (fun buf { stage; payload } ->
+      Codec.string buf stage;
+      Codec.string buf payload)
     ops;
   Buffer.contents buf
 
-let decode_ops payload =
-  let len = String.length payload in
-  let rec go pos acc =
-    if pos >= len then Some (List.rev acc)
-    else
-      match String.index_from_opt payload pos '\n' with
-      | None -> None
-      | Some nl -> (
-          match
-            String.split_on_char ' ' (String.sub payload pos (nl - pos))
-          with
-          | [ stage; op_len ] -> (
-              match decimal op_len with
-              | Some op_len when nl + 1 + op_len <= len ->
-                  let op_payload = String.sub payload (nl + 1) op_len in
-                  go (nl + 1 + op_len) ({ stage; payload = op_payload } :: acc)
-              | _ -> None)
-          | _ -> None)
+let decode_txn tag payload =
+  if tag <> 'T' then raise (Codec.Malformed "unknown WAL record");
+  let r = Codec.reader payload in
+  let ops =
+    Codec.read_list r (fun r ->
+        let stage = Codec.read_string r in
+        { stage; payload = Codec.read_string r })
   in
-  go 0 []
+  Codec.expect_end r;
+  ops
 
 (* {2 Paths} *)
 
@@ -96,56 +63,11 @@ let segment_path dir gen seg =
   else Filename.concat dir (Printf.sprintf "gen-%d.wal.%d" gen seg)
 
 module Wal = struct
-  (* Record framing, mirroring Persist:
-       T <payload_len> <checksum>\n<payload>\n *)
-  let encode_txn ops =
-    let payload = encode_ops ops in
-    Printf.sprintf "T %d %s\n%s\n" (String.length payload) (checksum payload)
-      payload
-
   let append_txn ?(sync = true) oc ops =
-    output_string oc (encode_txn ops);
-    if sync then sync_channel oc else flush oc
+    Record.output oc 'T' [ encode_ops ops ];
+    if sync then Record.sync_channel oc else flush oc
 
-  let scan path =
-    match open_in_bin path with
-    | exception Sys_error _ -> ([], Clean)
-    | ic ->
-        let txns = ref [] in
-        let tail = ref Clean in
-        let at_eof () = pos_in ic >= in_channel_length ic in
-        let rec go () =
-          match input_line ic with
-          | exception End_of_file -> ()
-          | header -> (
-              match String.split_on_char ' ' header with
-              | [ "T"; payload_len; crc ] -> (
-                  match decimal payload_len with
-                  | None -> tail := Corrupt
-                  | Some payload_len -> (
-                      (* a short read can only be the final record cut
-                         mid-write: that is the torn-tail crash case *)
-                      match really_input_string ic (payload_len + 1) with
-                      | exception End_of_file -> tail := Torn
-                      | payload ->
-                          if payload.[payload_len] <> '\n' then tail := Corrupt
-                          else
-                            let payload = String.sub payload 0 payload_len in
-                            if checksum payload <> crc then
-                              (* full-length record failing its checksum:
-                                 damaged in place, not torn *)
-                              tail := Corrupt
-                            else (
-                              match decode_ops payload with
-                              | None -> tail := Corrupt
-                              | Some ops ->
-                                  txns := ops :: !txns;
-                                  go ())))
-              | _ -> tail := if at_eof () then Torn else Corrupt)
-        in
-        go ();
-        close_in ic;
-        (List.rev !txns, !tail)
+  let scan path = Record.scan path decode_txn
 
   (* Scan a whole generation across its segments, stopping at the
      first damage.  A torn tail is only a crash shape in the *final*
@@ -154,16 +76,17 @@ module Wal = struct
   let scan_generation ~dir ~gen =
     let rec go seg acc =
       let path = segment_path dir gen seg in
-      if not (Sys.file_exists path) then (List.concat (List.rev acc), Clean)
+      if not (Sys.file_exists path) then
+        (List.concat (List.rev acc), Record.Clean)
       else
         let txns, tail = scan path in
         let next_exists = Sys.file_exists (segment_path dir gen (seg + 1)) in
         match tail with
-        | Clean when next_exists -> go (seg + 1) (txns :: acc)
-        | Clean -> (List.concat (List.rev (txns :: acc)), Clean)
-        | Torn when next_exists ->
-            (List.concat (List.rev (txns :: acc)), Corrupt)
-        | (Torn | Corrupt) as tail ->
+        | Record.Clean when next_exists -> go (seg + 1) (txns :: acc)
+        | Record.Clean -> (List.concat (List.rev (txns :: acc)), Record.Clean)
+        | Record.Torn when next_exists ->
+            (List.concat (List.rev (txns :: acc)), Record.Corrupt)
+        | (Record.Torn | Record.Corrupt) as tail ->
             (List.concat (List.rev (txns :: acc)), tail)
     in
     go 0 []
@@ -179,10 +102,9 @@ end
 type section = Inline of string | From of int | Delta of int
 
 module Snapshot = struct
-  (* Section framing:
-       S <stage> <payload_len> <checksum>\n<payload>\n   (inline)
-       F <stage> <from-gen>\n                            (carried)
-       D <stage> <base-gen>\n                            (delta) *)
+  (* One record per section, its payload the stage name then the
+     section body: [S] the inline payload, [F] the generation it is
+     carried from, [D] the delta's base generation. *)
   let write ?(fsync = true) path sections =
     let temp = path ^ ".tmp" in
     let oc =
@@ -192,60 +114,51 @@ module Snapshot = struct
     (try
        List.iter
          (fun (stage, section) ->
+           let buf = Buffer.create 64 in
+           Codec.string buf stage;
            match section with
            | Inline payload ->
-               Printf.fprintf oc "S %s %d %s\n%s\n" stage
-                 (String.length payload) (checksum payload) payload
-           | From gen -> Printf.fprintf oc "F %s %d\n" stage gen
-           | Delta gen -> Printf.fprintf oc "D %s %d\n" stage gen)
+               (* the {!Codec} string framing of [payload], its bytes
+                  written as a part of their own so a large payload is
+                  never copied *)
+               Codec.int buf (String.length payload);
+               Record.output oc 'S' [ Buffer.contents buf; payload ]
+           | From gen ->
+               Codec.int buf gen;
+               Record.output oc 'F' [ Buffer.contents buf ]
+           | Delta gen ->
+               Codec.int buf gen;
+               Record.output oc 'D' [ Buffer.contents buf ])
          sections;
-       sync_channel ~fsync oc;
+       Record.sync_channel ~fsync oc;
        close_out oc
      with e ->
        (try close_out oc with Sys_error _ -> ());
        (try Sys.remove temp with Sys_error _ -> ());
        raise e);
     Sys.rename temp path;
-    sync_dir ~fsync (Filename.dirname path)
+    Record.sync_dir ~fsync (Filename.dirname path)
+
+  let decode_section tag payload =
+    let r = Codec.reader payload in
+    let stage = Codec.read_string r in
+    let section =
+      match tag with
+      | 'S' -> Inline (Codec.read_string r)
+      | 'F' -> From (Codec.read_int r)
+      | 'D' -> Delta (Codec.read_int r)
+      | _ -> raise (Codec.Malformed "unknown snapshot section")
+    in
+    Codec.expect_end r;
+    (stage, section)
 
   let load path =
-    match open_in_bin path with
-    | exception Sys_error e -> Error e
-    | ic ->
-        let result =
-          let rec go acc =
-            match input_line ic with
-            | exception End_of_file -> Ok (List.rev acc)
-            | header -> (
-                match String.split_on_char ' ' header with
-                | [ "S"; stage; payload_len; crc ] -> (
-                    match decimal payload_len with
-                    | None -> Error "bad section length"
-                    | Some payload_len -> (
-                        match really_input_string ic (payload_len + 1) with
-                        | exception End_of_file -> Error "truncated section"
-                        | payload ->
-                            if payload.[payload_len] <> '\n' then
-                              Error "unterminated section"
-                            else
-                              let payload = String.sub payload 0 payload_len in
-                              if checksum payload <> crc then
-                                Error ("checksum mismatch in section " ^ stage)
-                              else go ((stage, Inline payload) :: acc)))
-                | [ "F"; stage; from_gen ] -> (
-                    match decimal from_gen with
-                    | None -> Error "bad carried-section generation"
-                    | Some gen -> go ((stage, From gen) :: acc))
-                | [ "D"; stage; base_gen ] -> (
-                    match decimal base_gen with
-                    | None -> Error "bad delta-section generation"
-                    | Some gen -> go ((stage, Delta gen) :: acc))
-                | _ -> Error "bad section header")
-          in
-          go []
-        in
-        close_in ic;
-        result
+    if not (Sys.file_exists path) then Error (path ^ ": no such snapshot")
+    else
+      match Record.scan path decode_section with
+      | sections, Record.Clean -> Ok sections
+      | _, Record.Torn -> Error "truncated snapshot"
+      | _, Record.Corrupt -> Error "damaged snapshot"
 end
 
 type t = {
@@ -323,10 +236,10 @@ let write_manifest ?(fsync = true) dir gen =
     open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 temp
   in
   Printf.fprintf oc "xyleme-durable 1 gen %d\n" gen;
-  sync_channel ~fsync oc;
+  Record.sync_channel ~fsync oc;
   close_out oc;
   Sys.rename temp (manifest_path dir);
-  sync_dir ~fsync dir
+  Record.sync_dir ~fsync dir
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
@@ -457,7 +370,7 @@ let sync_pending t =
         Buffer.output_buffer oc t.pending;
         Buffer.clear t.pending;
         t.pending_txns <- 0;
-        sync_channel ~fsync:t.config.fsync oc;
+        Record.sync_channel ~fsync:t.config.fsync oc;
         t.bytes <- t.bytes + len;
         t.sync_count <- t.sync_count + 1;
         if pos_out oc > t.config.segment_bytes then begin
@@ -468,7 +381,7 @@ let sync_pending t =
           close_out oc;
           t.seg <- t.seg + 1;
           t.wal <- Some (open_segment t.dir t.gen t.seg);
-          sync_dir ~fsync:t.config.fsync t.dir
+          Record.sync_dir ~fsync:t.config.fsync t.dir
         end
 
 let barrier t = sync_pending t
@@ -486,7 +399,7 @@ let commit t =
              closing checkpoint; until then commits must not land in
              the old generation's (possibly torn) log *)
           invalid_arg "Durable.commit: no open WAL (restore not finished?)");
-      Buffer.add_string t.pending (Wal.encode_txn ops);
+      Buffer.add_string t.pending (Record.encode 'T' (encode_ops ops));
       t.txns <- t.txns + 1;
       t.pending_txns <- t.pending_txns + 1;
       if t.pending_txns >= t.config.sync_every then sync_pending t
@@ -593,7 +506,7 @@ let checkpoint ?(force_full = false) t ~snapshot =
   (match t.wal with Some oc -> close_out oc | None -> ());
   t.wal <- Some (open_segment t.dir next 0);
   t.seg <- 0;
-  sync_dir ~fsync:t.config.fsync t.dir;
+  Record.sync_dir ~fsync:t.config.fsync t.dir;
   fire_fuse t "wal-created";
   write_manifest ~fsync:t.config.fsync t.dir next;
   fire_fuse t "manifest-committed";
@@ -680,11 +593,11 @@ let collect_delta_txns t deltas =
         else
           let txns, tail = Wal.scan_generation ~dir:t.dir ~gen:g in
           match tail with
-          | Corrupt ->
+          | Record.Corrupt ->
               Error
                 (Printf.sprintf
                    "delta section WAL: generation %d damaged mid-log" g)
-          | Clean | Torn ->
+          | Record.Clean | Record.Torn ->
               let live =
                 List.filter_map
                   (fun (stage, base) -> if base <= g then Some stage else None)

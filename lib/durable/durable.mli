@@ -26,6 +26,8 @@
     - [subscriptions.log] — the {!Xy_submgr.Persist} subscription log.
     - [reports.log] — the append-only delivery ledger written by
       {!Xy_reporter.Sink.ledger}.
+    - [subscriptions.log.compact], [reports.log.compact] — the temp of
+      an in-flight {!Record.Compaction} of either log.
 
     Transactions are {e group-committed}: {!commit} seals the record
     into an in-memory batch, and the batch is written + fsynced once
@@ -34,12 +36,16 @@
     that acknowledge work externally (report delivery) must
     {!barrier} before acknowledging, which preserves at-least-once.
 
-    The framing mirrors {!Xy_submgr.Persist}: a space-separated header
-    line carrying lengths and an FNV-1a checksum, then the payload.
-    {!Wal.scan} distinguishes a torn tail (expected after a crash)
-    from mid-log corruption, exactly like [Persist.scan].  Header
-    integers are parsed strictly ({!Xy_util.Parse.decimal_int}), so
-    damaged bytes cannot masquerade as valid framing.
+    Every file here is written in the one checksummed record format
+    of {!Record} (the MANIFEST aside, a single line): a WAL
+    transaction is one [T] record whose payload is its ops as a
+    {!Xy_util.Codec} list of (stage, payload) pairs, and a snapshot
+    section is one [S] (inline), [F] (carried) or [D] (delta) record
+    whose payload is the stage name then the payload or generation.
+    {!Wal.scan} therefore tells a torn tail (expected after a crash)
+    from mid-log corruption exactly like the subscription log and the
+    ledger do, and a damaged length field yields a verdict, never an
+    exception.
 
     Stages plug in through a [Durable.S]-style contract — they encode
     snapshots and operations as strings (via {!Xy_util.Codec}) and
@@ -47,12 +53,6 @@
 
 (** One operation: which stage owns it, and its opaque payload. *)
 type op = { stage : string; payload : string }
-
-(** Verdict about the end of a scanned log.  [Torn] is the expected
-    crash shape (final record cut short mid-write); [Corrupt] means
-    bytes were altered in place and recovery must not trust the
-    file. *)
-type tail = Clean | Torn | Corrupt
 
 type config = {
   sync_every : int;
@@ -82,16 +82,14 @@ type section = Inline of string | From of int | Delta of int
 
 module Wal : sig
   val append_txn : ?sync:bool -> out_channel -> op list -> unit
-  (** Append one transaction record; [sync] (default true) flushes
-      and fsyncs.  Framing: [T <payload_len> <checksum>\n<payload>\n],
-      the payload being each op as [<stage> <len>\n<payload bytes>]
-      concatenated. *)
+  (** Append one [T] transaction record; [sync] (default true)
+      flushes and fsyncs. *)
 
-  val scan : string -> op list list * tail
+  val scan : string -> op list list * Record.tail
   (** Read back every intact transaction of one segment, in order,
       plus the tail verdict.  A missing file is [([], Clean)]. *)
 
-  val scan_generation : dir:string -> gen:int -> op list list * tail
+  val scan_generation : dir:string -> gen:int -> op list list * Record.tail
   (** Concatenate the scans of every segment of generation [gen],
       stopping at the first damage.  A torn tail in a {e non-final}
       segment is reported as [Corrupt]: rotation only ever follows a
@@ -102,13 +100,12 @@ end
 module Snapshot : sig
   val write : ?fsync:bool -> string -> (string * section) list -> unit
   (** Write sections to [path] atomically (temp file, fsync, rename,
-      directory fsync).  Inline framing:
-      [S <stage> <payload_len> <checksum>\n<payload>\n]; carried:
-      [F <stage> <from-gen>\n]. *)
+      directory fsync), one record per section. *)
 
   val load : string -> ((string * section) list, string) result
-  (** Read sections back, verifying each inline checksum.  Carried
-      sections are returned unresolved. *)
+  (** Read sections back, verifying every record's checksum; a
+      missing, torn or damaged file is an [Error].  Carried sections
+      are returned unresolved. *)
 end
 
 type t
@@ -211,7 +208,7 @@ val checkpoint :
     that restores to a consistent state. *)
 
 val load_latest :
-  t -> ((string * string) list * op list list * tail, string) result
+  t -> ((string * string) list * op list list * Record.tail, string) result
 (** Load the committed generation's snapshot with carried and delta
     sections resolved (each chases exactly one reference; a delta
     stage's payload is its base generation's), plus the replayable

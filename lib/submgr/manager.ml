@@ -456,13 +456,4 @@ let subscription_refresh t ~name =
 
 let complex_event_count t = Hashtbl.length t.dispatches
 
-let compact_persist t =
-  match t.persist with Some log -> Persist.compact_live log | None -> 0
-
-let persist_size t =
-  match t.persist with Some log -> Persist.log_size log | None -> 0
-
-let compaction_start t =
-  match t.persist with Some log -> Persist.Compaction.start log | None -> None
-
-let compaction_step task ~budget = Persist.Compaction.step task ~budget
+let compaction_start t = Option.bind t.persist Persist.compaction

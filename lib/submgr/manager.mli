@@ -84,21 +84,7 @@ val complex_event_count : t -> int
 
 (** {2 Durability} *)
 
-(** [compact_persist t] compacts the attached subscription log in
-    place (see {!Persist.compact_live}); [0] without one.  Called from
-    checkpoints so the log stays proportional to the live
-    subscription set. *)
-val compact_persist : t -> int
-
-(** [persist_size t] is the attached log's size in bytes ([0] without
-    one). *)
-val persist_size : t -> int
-
 (** [compaction_start t] begins an incremental compaction of the
-    attached subscription log (see {!Persist.Compaction}); [None]
+    attached subscription log (see {!Persist.compaction}); [None]
     without a log, or when the log is dead/unreadable. *)
-val compaction_start : t -> Persist.Compaction.task option
-
-(** [compaction_step task ~budget] advances an incremental compaction
-    by up to [budget] records. *)
-val compaction_step : Persist.Compaction.task -> budget:int -> Persist.Compaction.progress
+val compaction_start : t -> Xy_durable.Record.Compaction.task option

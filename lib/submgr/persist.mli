@@ -4,8 +4,11 @@
     database "for recovery"; this module provides the same contract
     with an append-only, checksummed log: every accepted subscription
     (as source text) and every deletion is appended, and recovery
-    replays the log.  A truncated or corrupted tail (torn write at
-    crash) is detected by checksum and ignored. *)
+    replays the log.  Records use the shared checksummed format of
+    {!Xy_durable.Record}: an [I] record's payload is the name, owner
+    and source text, a [D] record's the name, each a
+    {!Xy_util.Codec} string.  A truncated or corrupted tail (torn
+    write at crash) is detected by checksum and ignored. *)
 
 type t
 
@@ -37,63 +40,15 @@ val replay : string -> record list
     ones (for inspection/tests). *)
 val read_all : string -> record list
 
-(** How the log ended. *)
-type tail =
-  | Clean  (** every byte accounted for *)
-  | Torn
-      (** the final record is shorter than its header promises — the
-          expected shape of a crash mid-append; replay up to it is
-          safe *)
-  | Corrupt
-      (** a full-length record failed its checksum or framing mid-log
-          — bytes were damaged in place; records after it are lost *)
-
 (** [scan path] is {!read_all} plus the tail diagnosis, so recovery
-    can tell an ordinary torn tail from in-place damage. *)
-val scan : string -> record list * tail
+    can tell an ordinary torn tail from in-place damage (see
+    {!Xy_durable.Record.tail}). *)
+val scan : string -> record list * Xy_durable.Record.tail
 
-(** [compact path] rewrites the log keeping only the surviving
-    records (atomically: writes a temp file, then renames).  A stale
-    temp from an earlier crashed compaction is truncated, and a failed
-    compaction removes its temp instead of leaving it behind.  Returns
-    the number of records dropped.  The log must not be open. *)
-val compact : string -> int
-
-(** [compact_live t] compacts an *open* log in place: the channel is
-    closed around the atomic rewrite and reopened for append after
-    (also when the rewrite fails).  Bounds log growth at checkpoints —
-    without it the log retains every superseded insert forever.  A
-    dead (torn) log is left untouched and [0] is returned. *)
-val compact_live : t -> int
-
-(** [log_size t] is the current size in bytes of an open log
-    ([0] when dead). *)
-val log_size : t -> int
-
-(** Incremental compaction: the same rewrite as {!compact_live}, but a
-    bounded number of records at a time so it can interleave with
-    normal operation instead of stalling a checkpoint.  Appends issued
-    while a task runs are safe: everything written past the point
-    indexing stopped is carried into the compacted log verbatim, and
-    last-record-wins keeps the semantics unchanged. *)
-module Compaction : sig
-  type task
-
-  type progress =
-    | Running  (** call {!step} again *)
-    | Finished of int  (** compacted; the count of records dropped *)
-    | Abandoned
-        (** damage was found mid-log, or the log died; the log is
-            left exactly as it was *)
-
-  (** [start log] begins a compaction of an open, live log.  [None]
-      when the log is dead or unreadable.  A stale temp from an
-      earlier crashed task is removed first. *)
-  val start : t -> task option
-
-  (** [step task ~budget] processes up to [budget] records.  The
-      finishing step additionally swaps the compacted file into place
-      (fsync, atomic rename, directory fsync) and reopens the live
-      channel.  After [Finished] or [Abandoned] the task is spent. *)
-  val step : task -> budget:int -> progress
-end
+(** [compaction t] begins an incremental compaction of an open, live
+    log ({!Xy_durable.Record.Compaction}): each name's last record
+    survives if it is an insert.  The live channel is closed around
+    the swap and reopened after it, so appends issued while the task
+    runs land in whichever file is in place.  [None] when the log is
+    dead or unreadable. *)
+val compaction : t -> Xy_durable.Record.Compaction.task option

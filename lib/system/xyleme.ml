@@ -14,17 +14,10 @@ module Trace = Xy_trace.Trace
 module Fault = Xy_fault.Fault
 module Durable = Xy_durable.Durable
 module Codec = Xy_util.Codec
-module Persist = Xy_submgr.Persist
+module Record = Xy_durable.Record
 module Sink = Xy_reporter.Sink
 module Slo = Xy_slo.Slo
 module Serve = Xy_serve.Serve
-
-(* The background maintenance task in flight, advanced a bounded
-   number of records per crawl step — log compaction used to run
-   wholesale inside [checkpoint] and dominated its pause. *)
-type maintenance_task =
-  | Subscription_compaction of Persist.Compaction.task
-  | Ledger_compaction of Sink.Ledger_compaction.task
 
 (* Per-loader-domain pipeline stage: a private Loader + alerter Chain
    over the shared (internally locked) store and registry, plus a
@@ -66,12 +59,13 @@ type t = {
   mutable self_monitor_deadline : float option;
   mutable alerts_sent : int;
   durable : Durable.t option;
-  mutable maintenance : maintenance_task option;
+  mutable maintenance : (string * Record.Compaction.task) option;
+      (** the log compaction in flight and its log's path, advanced a
+          bounded number of records per crawl step *)
   mutable compacted_since_checkpoint : int;
-  mutable persist_floor : int;
-      (** subscription-log size right after its last compaction — the
+  log_floors : (string, int) Hashtbl.t;
+      (** log path -> its size right after its last compaction; the
           next one starts when the log doubles past this *)
-  mutable ledger_floor : int;
   mutable steps_done : int;
   mutable mid_step : bool;
       (** an [advance] has committed since the last completed
@@ -566,8 +560,7 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
       durable;
       maintenance = None;
       compacted_since_checkpoint = 0;
-      persist_floor = 0;
-      ledger_floor = 0;
+      log_floors = Hashtbl.create 2;
       steps_done = 0;
       mid_step = false;
       m_ingested = Obs.counter obs ~stage:"system" "ingested";
@@ -1157,45 +1150,37 @@ let file_size path =
   | exception Unix.Unix_error _ -> 0
 
 let maintenance_step t =
-  if t.durable <> None then
-    match t.maintenance with
-    | Some (Subscription_compaction task) -> (
-        match Manager.compaction_step task ~budget:maintenance_budget with
-        | Persist.Compaction.Running -> ()
-        | Persist.Compaction.Finished dropped ->
-            t.compacted_since_checkpoint <-
-              t.compacted_since_checkpoint + dropped;
-            t.persist_floor <- Manager.persist_size (manager t);
-            t.maintenance <- None
-        | Persist.Compaction.Abandoned -> t.maintenance <- None)
-    | Some (Ledger_compaction task) -> (
-        match Sink.Ledger_compaction.step task ~budget:maintenance_budget with
-        | Sink.Ledger_compaction.Running -> ()
-        | Sink.Ledger_compaction.Finished dropped ->
-            t.compacted_since_checkpoint <-
-              t.compacted_since_checkpoint + dropped;
-            t.ledger_floor <-
-              Option.fold ~none:0 ~some:file_size (report_ledger_path t);
-            t.maintenance <- None
-        | Sink.Ledger_compaction.Abandoned -> t.maintenance <- None)
-    | None -> (
-        (* start a task only once a log both exceeds the floor size
-           and has doubled since its last compaction *)
-        let due size floor = size >= compaction_min_bytes && size >= 2 * floor in
-        let persist_size = Manager.persist_size (manager t) in
-        if due persist_size t.persist_floor then
-          t.maintenance <-
-            Option.map
-              (fun task -> Subscription_compaction task)
-              (Manager.compaction_start (manager t))
-        else
-          match report_ledger_path t with
-          | Some path when due (file_size path) t.ledger_floor ->
-              t.maintenance <-
-                Option.map
-                  (fun task -> Ledger_compaction task)
-                  (Sink.Ledger_compaction.start path)
-          | Some _ | None -> ())
+  match (t.durable, t.maintenance) with
+  | None, _ -> ()
+  | Some _, Some (path, task) -> (
+      match Record.Compaction.step task ~budget:maintenance_budget with
+      | Record.Compaction.Running -> ()
+      | Record.Compaction.Finished dropped ->
+          t.compacted_since_checkpoint <-
+            t.compacted_since_checkpoint + dropped;
+          Hashtbl.replace t.log_floors path (file_size path);
+          t.maintenance <- None
+      | Record.Compaction.Abandoned -> t.maintenance <- None)
+  | Some d, None -> (
+      (* start a task only once a log both exceeds the minimum size
+         and has doubled since its last compaction *)
+      let due (path, _) =
+        let size = file_size path in
+        let floor = Hashtbl.find_opt t.log_floors path in
+        size >= compaction_min_bytes
+        && size >= 2 * Option.value ~default:0 floor
+      in
+      match
+        List.find_opt due
+          [
+            ( Durable.subscription_log_path d,
+              fun _ -> Manager.compaction_start (manager t) );
+            (Durable.report_ledger_path d, Sink.ledger_compaction);
+          ]
+      with
+      | Some (path, start) ->
+          t.maintenance <- Option.map (fun task -> (path, task)) (start path)
+      | None -> ())
 
 (* One crawl step, decomposed into transactions so that a kill at any
    boundary loses at most the unit in progress:
@@ -1351,7 +1336,7 @@ type restore_info = {
   generation : int;
   subscriptions_recovered : int;
   txns_replayed : int;
-  wal_tail : Durable.tail;
+  wal_tail : Record.tail;
   requeued_fetches : int;
   redelivered_reports : int;
 }

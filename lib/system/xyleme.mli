@@ -351,7 +351,7 @@ type restore_info = {
   generation : int;  (** generation after the post-restore checkpoint *)
   subscriptions_recovered : int;
   txns_replayed : int;  (** committed WAL transactions re-applied *)
-  wal_tail : Xy_durable.Durable.tail;
+  wal_tail : Xy_durable.Record.tail;
       (** what the WAL's end looked like ([Torn] after a mid-write kill) *)
   requeued_fetches : int;  (** in-flight fetches re-armed *)
   redelivered_reports : int;  (** unacked report deliveries re-sent *)

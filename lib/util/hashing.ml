@@ -13,8 +13,9 @@ let fnv_prime = 0x100000001b3L
 
    Every intermediate fits a 63-bit native int: lo * 0x1b3 < 2^41 and
    hi * 0x1b3 + carry + ((lo land 0xffffff) lsl 8) < 2^42. *)
-let fnv1a64 s =
-  let lo = ref 0x84222325 and hi = ref 0xcbf29ce4 in
+let[@inline] fnv1a64_from h s =
+  let lo = ref (Int64.to_int (Int64.logand h 0xffffffffL))
+  and hi = ref (Int64.to_int (Int64.shift_right_logical h 32)) in
   for i = 0 to String.length s - 1 do
     let l = !lo lxor Char.code (String.unsafe_get s i) in
     let ll = l * 0x1b3 in
@@ -25,6 +26,8 @@ let fnv1a64 s =
   Int64.logor
     (Int64.shift_left (Int64.of_int !hi) 32)
     (Int64.of_int !lo)
+
+let fnv1a64 s = fnv1a64_from fnv_offset s
 
 (* Reference implementation, kept for the equivalence property test. *)
 let fnv1a64_boxed s =

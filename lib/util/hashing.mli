@@ -8,6 +8,11 @@
 (** [fnv1a64 s] is the 64-bit FNV-1a hash of [s]. *)
 val fnv1a64 : string -> int64
 
+(** [fnv1a64_from h s] continues the hash [h] over [s]:
+    [fnv1a64 (a ^ b) = fnv1a64_from (fnv1a64 a) b], so a string split
+    into parts is hashed without concatenating them. *)
+val fnv1a64_from : int64 -> string -> int64
+
 (** [fnv1a64_boxed s] is the straightforward [Int64] implementation —
     same result as {!fnv1a64}, kept as the reference the optimised
     native-int version is property-tested against. *)

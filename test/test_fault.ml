@@ -6,6 +6,7 @@
 
 module Fault = Xy_fault.Fault
 module Persist = Xy_submgr.Persist
+module Record = Xy_durable.Record
 module Bus = Xy_system.Bus
 module Xyleme = Xy_system.Xyleme
 module Queue = Xy_crawler.Fetch_queue
@@ -322,7 +323,7 @@ let test_truncate_every_offset () =
       Alcotest.failf "cut %d: wrong records (%d, expected %d)" cut
         (List.length records) complete;
     let expected_tail =
-      if cut = 0 || List.mem cut bounds then Persist.Clean else Persist.Torn
+      if cut = 0 || List.mem cut bounds then Record.Clean else Record.Torn
     in
     if tail <> expected_tail then
       Alcotest.failf "cut %d: wrong tail diagnosis" cut
@@ -347,7 +348,7 @@ let test_corrupt_every_payload_byte () =
         Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor 0x01));
         write_bytes damaged (Bytes.to_string bytes);
         let records, tail = Persist.scan damaged in
-        if tail <> Persist.Corrupt then
+        if tail <> Record.Corrupt then
           Alcotest.failf "record %d byte %d: damage not diagnosed Corrupt" i pos;
         if records <> firstn i sample_records then
           Alcotest.failf "record %d byte %d: wrong survivors" i pos
@@ -371,7 +372,7 @@ let test_torn_write_fault_point () =
   checki "only the pre-crash record survives" 1 (List.length records);
   checkb "first record intact" true
     (List.hd records = Persist.Insert { name = "a"; owner = "o"; text = "first" });
-  checkb "tail is torn or clean, never corrupt" true (tail <> Persist.Corrupt);
+  checkb "tail is torn or clean, never corrupt" true (tail <> Record.Corrupt);
   checki "exactly one injection" 1 (Fault.injected faults "torn_write")
 
 let test_short_write_fault_point () =
@@ -397,7 +398,7 @@ let test_short_write_fault_point () =
   | 1 -> ()
   | n -> Alcotest.failf "expected exactly one injection, got %d" n);
   checkb "mid-log damage diagnosed" true
-    (tail = Persist.Corrupt || List.length records = 2)
+    (tail = Record.Corrupt || List.length records = 2)
 
 (* qcheck: random logs — write, scan, replay against a reference
    model; then truncate at a random offset and require a prefix with a
@@ -407,7 +408,7 @@ let gen_record : Persist.record QCheck.Gen.t =
   let name_gen = oneofl [ "s1"; "s2"; "s3"; "weird name"; "nl\nname" ] in
   let text_gen =
     oneofl
-      [ ""; "short"; "multi\nline\ntext"; "R I 1 1 1 fake\nheader"; String.make 200 'x' ]
+      [ ""; "short"; "multi\nline\ntext"; "I 1 0000000000000000\nheader"; String.make 200 'x' ]
   in
   frequency
     [
@@ -443,7 +444,7 @@ let qcheck_persist_roundtrip =
       with_temp @@ fun path ->
       ignore (build_log path records);
       let scanned, tail = Persist.scan path in
-      tail = Persist.Clean && scanned = records
+      tail = Record.Clean && scanned = records
       && Persist.replay path = model_replay records)
 
 let qcheck_persist_truncation =
@@ -461,7 +462,7 @@ let qcheck_persist_truncation =
       write_bytes truncated (String.sub full 0 cut);
       let scanned, tail = Persist.scan truncated in
       let complete = List.length (List.filter (fun b -> b <= cut) bounds) in
-      tail <> Persist.Corrupt && scanned = firstn complete records)
+      tail <> Record.Corrupt && scanned = firstn complete records)
 
 (* ------------------------------------------------------------------ *)
 (* Bus *)
@@ -767,7 +768,7 @@ let crash_matrix ?sync_every ?segment_bytes ?(checkpoint_every = 2)
   let fp0 = store_fingerprint x0 in
   let subs0 = subscription_set x0 in
   let led0, _, tail0 = dedup_ledger base_dir in
-  checkb "baseline ledger clean" true (tail0 = Sink.Ledger_clean);
+  checkb "baseline ledger clean" true (tail0 = Record.Clean);
   checkb "baseline produced reports" true (led0 <> []);
   let stats0 = Xyleme.stats x0 in
   let crash_labels = ref [] in
@@ -805,7 +806,7 @@ let crash_matrix ?sync_every ?segment_bytes ?(checkpoint_every = 2)
                 let led, _raw, tail = dedup_ledger dir in
                 checkb
                   (Printf.sprintf "K=%d: ledger tail clean" !k)
-                  true (tail = Sink.Ledger_clean);
+                  true (tail = Record.Clean);
                 checkb
                   (Printf.sprintf "K=%d: reports equivalent after dedup" !k)
                   true (led = led0);
@@ -896,10 +897,10 @@ let test_wal_truncate_every_offset () =
       true (is_prefix got);
     checkb
       (Printf.sprintf "truncate@%d: never diagnosed corrupt" len)
-      true (tail <> Durable.Corrupt);
+      true (tail <> Record.Corrupt);
     if len = String.length full then begin
       checki "full file: all txns" (List.length txns) (List.length got);
-      checkb "full file: clean" true (tail = Durable.Clean)
+      checkb "full file: clean" true (tail = Record.Clean)
     end
   done
 
@@ -971,7 +972,7 @@ let test_wal_truncation_restore_no_loss () =
               let _, _, tail = dedup_ledger dir in
               checkb
                 (Printf.sprintf "truncate@%d: ledger readable" len)
-                true (tail <> Sink.Ledger_corrupt)))
+                true (tail <> Record.Corrupt)))
     !offsets
 
 (* Restoring a *cleanly finished* durable run is a no-op resume. *)
@@ -995,7 +996,7 @@ let test_restore_refuses_garbage () =
   | Ok _ -> Alcotest.fail "restored from an empty directory");
   ignore (Durable.open_fresh dir);
   Out_channel.with_open_bin (Filename.concat dir "gen-0.snap") (fun oc ->
-      Out_channel.output_string oc "S system 4 deadbeefdeadbeef\njunk\n");
+      Out_channel.output_string oc "S 4 deadbeefdeadbeef\njunk\n");
   match Xyleme.restore ~dir () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "restored from a corrupt snapshot"
@@ -1141,7 +1142,7 @@ let qcheck_wal_roundtrip =
       List.iter (Durable.Wal.append_txn oc) txns;
       close_out oc;
       let got, tail = Durable.Wal.scan path in
-      tail = Durable.Clean && got = List.filter (fun t -> t <> []) txns)
+      tail = Record.Clean && got = List.filter (fun t -> t <> []) txns)
 
 let qcheck_wal_truncation =
   QCheck.Test.make
@@ -1158,7 +1159,7 @@ let qcheck_wal_truncation =
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (String.sub full 0 cut));
       let got, tail = Durable.Wal.scan path in
-      tail <> Durable.Corrupt
+      tail <> Record.Corrupt
       && got = List.filteri (fun i _ -> i < List.length got) txns)
 
 (* Every stage's snapshot codec survives an encode → decode → encode
@@ -1223,7 +1224,7 @@ let test_group_commit_batch_loss () =
   (* the kill: the un-synced batch evaporates with process memory *)
   Durable.discard t;
   let txns, tail = Durable.Wal.scan (Filename.concat dir "gen-0.wal") in
-  checkb "tail clean" true (tail = Durable.Clean);
+  checkb "tail clean" true (tail = Record.Clean);
   checki "exactly the synced batch survived" 5 (List.length txns);
   List.iteri
     (fun i ops ->
@@ -1250,7 +1251,7 @@ let test_wal_rotation_scan () =
     (Sys.file_exists (Filename.concat dir "gen-0.wal.1"));
   checkb "group commit batched the syncs" true (Durable.syncs t < n);
   let txns, tail = Durable.Wal.scan_generation ~dir ~gen:0 in
-  checkb "clean across segments" true (tail = Durable.Clean);
+  checkb "clean across segments" true (tail = Record.Clean);
   checki "every txn recovered across segments" n (List.length txns)
 
 let test_segment_damage_classification () =
@@ -1270,7 +1271,7 @@ let test_segment_damage_classification () =
   write_seg 2 [ txn 4 ];
   let scan () = Durable.Wal.scan_generation ~dir ~gen:0 in
   (let txns, tail = scan () in
-   checkb "clean" true (tail = Durable.Clean);
+   checkb "clean" true (tail = Record.Clean);
    checkb "segments concatenated in order" true
      (txns = [ txn 0; txn 1; txn 2; txn 3; txn 4 ]));
   (* a short final segment is the ordinary crash shape *)
@@ -1280,7 +1281,7 @@ let test_segment_damage_classification () =
         (String.sub full2 0 (String.length full2 - 3)));
   (let txns, tail = scan () in
    checki "prefix survives a torn tail" 4 (List.length txns);
-   checkb "torn, not corrupt" true (tail = Durable.Torn));
+   checkb "torn, not corrupt" true (tail = Record.Torn));
   Out_channel.with_open_bin (seg_path 2) (fun oc ->
       Out_channel.output_string oc full2);
   (* the same truncation in a NON-final segment is damage: rotation
@@ -1291,7 +1292,7 @@ let test_segment_damage_classification () =
         (String.sub full1 0 (String.length full1 - 3)));
   (let txns, tail = scan () in
    checki "stops at the damaged segment" 3 (List.length txns);
-   checkb "mid-generation tear is corrupt" true (tail = Durable.Corrupt));
+   checkb "mid-generation tear is corrupt" true (tail = Record.Corrupt));
   Out_channel.with_open_bin (seg_path 1) (fun oc ->
       Out_channel.output_string oc full1);
   (* altered bytes mid-segment: corrupt wherever they land *)
@@ -1301,7 +1302,7 @@ let test_segment_damage_classification () =
   Out_channel.with_open_bin (seg_path 1) (fun oc ->
       Out_channel.output_bytes oc b);
   let txns, tail = scan () in
-  checkb "altered bytes diagnosed corrupt" true (tail = Durable.Corrupt);
+  checkb "altered bytes diagnosed corrupt" true (tail = Record.Corrupt);
   checkb "only the undamaged prefix returned" true (List.length txns <= 3)
 
 let test_kill_at_rotation () =
@@ -1323,7 +1324,7 @@ let test_kill_at_rotation () =
   (* rotation strictly follows a sync: a kill inside the rotation
      window loses nothing already committed *)
   let txns, tail = Durable.Wal.scan_generation ~dir ~gen:0 in
-  checkb "clean tail" true (tail = Durable.Clean);
+  checkb "clean tail" true (tail = Record.Clean);
   checki "every synced txn recovered" !killed_at (List.length txns)
 
 let test_carry_forward_depth1 () =
@@ -1354,7 +1355,7 @@ let test_carry_forward_depth1 () =
   | None -> Alcotest.fail "manifest unreadable"
   | Some t' -> (
       match Durable.load_latest t' with
-      | Ok (resolved, [], Durable.Clean) ->
+      | Ok (resolved, [], Record.Clean) ->
           checkb "one-hop resolution yields the payloads" true
             (List.sort compare resolved = [ ("a", "av"); ("b", "bv") ])
       | Ok _ -> Alcotest.fail "unexpected WAL content"
@@ -1396,7 +1397,7 @@ let test_kill_in_checkpoint_windows () =
           | Ok (sections, txns, tail) ->
               checkb
                 (kill_label ^ ": tail not corrupt")
-                true (tail <> Durable.Corrupt);
+                true (tail <> Record.Corrupt);
               (* sections, then WAL ops, last-writer-wins *)
               let state = Hashtbl.create 4 in
               List.iter (fun (s, p) -> Hashtbl.replace state s p) sections;
@@ -1471,7 +1472,7 @@ let qcheck_incremental_equals_full =
           plan;
         let t' = Option.get (Durable.open_existing ~config dir) in
         match Durable.load_latest t' with
-        | Ok (sections, [], Durable.Clean) -> List.sort compare sections
+        | Ok (sections, [], Record.Clean) -> List.sort compare sections
         | Ok _ -> failwith "unexpected WAL content after checkpoint"
         | Error e -> failwith e
       in
@@ -1535,7 +1536,7 @@ let test_delta_section_lifecycle () =
       match Durable.load_latest t' with
       | Error e -> Alcotest.fail e
       | Ok (sections, txns, tail) ->
-          checkb "tail clean" true (tail = Durable.Clean);
+          checkb "tail clean" true (tail = Record.Clean);
           checks "big resolves to its base payload" base
             (List.assoc "big" sections);
           checks "small resolves through its From" "sv"
@@ -1594,7 +1595,7 @@ let test_delta_kill_windows () =
           | Ok (sections, txns, tail) ->
               checkb
                 (kill_label ^ ": tail not corrupt")
-                true (tail <> Durable.Corrupt);
+                true (tail <> Record.Corrupt);
               (* pre-flip: gen 1 inline + its WAL.  post-flip: gen 2
                  delta + retained gen-1 WAL.  Both must fold to the
                  same state. *)
@@ -1651,7 +1652,7 @@ let test_delta_closing_checkpoint () =
   match Durable.load_latest t2 with
   | Error e -> Alcotest.fail e
   | Ok (sections, txns, tail) ->
-      checkb "clean" true (tail <> Durable.Corrupt);
+      checkb "clean" true (tail <> Record.Corrupt);
       checks "base payload" base (List.assoc "big" sections);
       let ops =
         List.concat txns
@@ -1691,7 +1692,7 @@ let qcheck_delta_equals_full =
           plan;
         let t' = Option.get (Durable.open_existing ~config dir) in
         match Durable.load_latest t' with
-        | Ok (sections, txns, Durable.Clean) ->
+        | Ok (sections, txns, Record.Clean) ->
             let state = Hashtbl.create 8 in
             List.iter (fun (s, p) -> Hashtbl.replace state s p) sections;
             List.iter
@@ -1732,7 +1733,7 @@ let test_acked_reports_in_synced_wal () =
           if entries <> [] then saw_reports := true;
           let txns, tail = Durable.Wal.scan_generation ~dir ~gen:0 in
           checkb (Printf.sprintf "K=%d: wal not corrupt" k) true
-            (tail <> Durable.Corrupt);
+            (tail <> Record.Corrupt);
           let intents = Hashtbl.create 16 in
           List.iter
             (List.iter (fun { Durable.stage; payload } ->
@@ -1766,7 +1767,7 @@ let test_persist_compaction_incremental () =
       ~text:(Printf.sprintf "text %d" i)
   done;
   Persist.append_delete log ~name:"s0";
-  match Persist.Compaction.start log with
+  match Persist.compaction log with
   | None -> Alcotest.fail "start refused a live log"
   | Some task ->
       let steps = ref 0 in
@@ -1780,15 +1781,15 @@ let test_persist_compaction_incremental () =
           raced := true;
           Persist.append_insert log ~name:"late" ~owner:"o" ~text:"late text"
         end;
-        match Persist.Compaction.step task ~budget:16 with
-        | Persist.Compaction.Running -> ()
-        | Persist.Compaction.Finished n -> dropped := n
-        | Persist.Compaction.Abandoned -> Alcotest.fail "abandoned a clean log"
+        match Record.Compaction.step task ~budget:16 with
+        | Record.Compaction.Running -> ()
+        | Record.Compaction.Finished n -> dropped := n
+        | Record.Compaction.Abandoned -> Alcotest.fail "abandoned a clean log"
       done;
       checkb "took several bounded steps" true (!steps > 5);
       checkb "dropped the superseded records" true (!dropped > 150);
       let _, tail = Persist.scan path in
-      checkb "compacted log scans clean" true (tail = Persist.Clean);
+      checkb "compacted log scans clean" true (tail = Record.Clean);
       let live = Persist.replay path in
       checki "survivors: 19 live names + the racing append" 20
         (List.length live);
@@ -1822,16 +1823,16 @@ let test_persist_compaction_damage () =
   let pos = Bytes.length b / 2 in
   Bytes.set b pos (if Bytes.get b pos = 'x' then 'y' else 'x');
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
-  (match Persist.Compaction.start log with
+  (match Persist.compaction log with
   | None -> Alcotest.fail "start refused"
   | Some task ->
       let rec drive () =
-        match Persist.Compaction.step task ~budget:8 with
-        | Persist.Compaction.Running -> drive ()
+        match Record.Compaction.step task ~budget:8 with
+        | Record.Compaction.Running -> drive ()
         | p -> p
       in
       (match drive () with
-      | Persist.Compaction.Abandoned -> ()
+      | Record.Compaction.Abandoned -> ()
       | _ -> Alcotest.fail "compaction must abandon a damaged log"));
   checks "damaged log left exactly as it was" (Bytes.to_string b)
     (In_channel.with_open_bin path In_channel.input_all);
@@ -1848,20 +1849,20 @@ let test_ledger_compaction () =
   in
   (* seqs 1 and 2 re-delivered: at-least-once duplicates to fold *)
   List.iter sink.Sink.deliver [ d 1; d 2; d 3; d 1; d 2; d 4 ];
-  (match Sink.Ledger_compaction.start path with
+  (match Sink.ledger_compaction path with
   | None -> Alcotest.fail "start refused"
   | Some task ->
       let rec drive steps =
-        match Sink.Ledger_compaction.step task ~budget:2 with
-        | Sink.Ledger_compaction.Running -> drive (steps + 1)
-        | Sink.Ledger_compaction.Finished n -> (steps, n)
-        | Sink.Ledger_compaction.Abandoned -> Alcotest.fail "abandoned"
+        match Record.Compaction.step task ~budget:2 with
+        | Record.Compaction.Running -> drive (steps + 1)
+        | Record.Compaction.Finished n -> (steps, n)
+        | Record.Compaction.Abandoned -> Alcotest.fail "abandoned"
       in
       let steps, dropped = drive 1 in
       checkb "incremental" true (steps > 1);
       checki "both duplicates folded" 2 dropped);
   let entries, tail = Sink.read_ledger path in
-  checkb "compacted ledger clean" true (tail = Sink.Ledger_clean);
+  checkb "compacted ledger clean" true (tail = Record.Clean);
   checki "one entry per distinct seq" 4 (List.length entries);
   checkb "every seq still present" true
     (List.sort compare (List.map (fun e -> e.Sink.l_seq) entries)
@@ -1872,19 +1873,227 @@ let test_ledger_compaction () =
   let pos = Bytes.length b / 2 in
   Bytes.set b pos (if Bytes.get b pos = 'x' then 'y' else 'x');
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
-  (match Sink.Ledger_compaction.start path with
+  (match Sink.ledger_compaction path with
   | None -> Alcotest.fail "start refused damaged"
   | Some task ->
       let rec drive () =
-        match Sink.Ledger_compaction.step task ~budget:8 with
-        | Sink.Ledger_compaction.Running -> drive ()
+        match Record.Compaction.step task ~budget:8 with
+        | Record.Compaction.Running -> drive ()
         | p -> p
       in
       (match drive () with
-      | Sink.Ledger_compaction.Abandoned -> ()
+      | Record.Compaction.Abandoned -> ()
       | _ -> Alcotest.fail "must abandon a damaged ledger"));
   checks "damaged ledger left exactly as it was" (Bytes.to_string b)
     (In_channel.with_open_bin path In_channel.input_all)
+
+(* A squatter on the temp path (here a directory) makes every
+   compaction of the subscription log fail to create its temp.  The
+   crawl must carry on, the log must stay intact and appendable. *)
+let test_compaction_failure_keeps_crawling () =
+  with_temp_dir @@ fun dir ->
+  let x =
+    Xyleme.create ~seed:d_seed ~web:(d_web ()) ~sink:(d_ledger_sink dir)
+      ~durable_dir:dir ()
+  in
+  let temp = Filename.concat dir "subscriptions.log.compact" in
+  Unix.mkdir temp 0o755;
+  d_subscribe x;
+  (* one subscription with a long URL prefix pushes the log past the
+     size at which background compaction starts *)
+  (match
+     Xyleme.subscribe x ~owner:"big"
+       ~text:
+         (Printf.sprintf
+            {|subscription Big
+monitoring
+select <UpdatedPage url=URL/>
+where URL extends "http://site0.example.org/%s" and modified self|}
+            (String.make (80 * 1024) 'p'))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "subscribe Big: %s" (Manager.error_to_string e));
+  let log_path = Filename.concat dir "subscriptions.log" in
+  let before = In_channel.with_open_bin log_path In_channel.input_all in
+  d_run x;
+  checki "every step completed"
+    (int_of_float (ceil (d_days *. 86400. /. d_step)))
+    (Xyleme.steps_done x);
+  checks "log byte-identical" before
+    (In_channel.with_open_bin log_path In_channel.input_all);
+  checkb "squatter untouched" true (Sys.is_directory temp);
+  (match Xyleme.unsubscribe x ~name:"D0" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "unsubscribe: %s" (Manager.error_to_string e));
+  checki "the live log still accepts appends" d_subs
+    (List.length (Persist.replay log_path))
+
+(* ------------------------------------------------------------------ *)
+(* The shared record format: damaged lengths and random damage *)
+
+(* A header declaring a length no file holds: every reader must give
+   a verdict instead of trying to allocate it. *)
+let oversized tag = Printf.sprintf "%c 4611686018427387903 0000000000000000\n" tag
+
+let append_bytes path bytes =
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      Out_channel.output_string oc bytes)
+
+let test_oversized_length () =
+  (with_temp @@ fun path ->
+   ignore (build_log path sample_records);
+   append_bytes path (oversized 'I');
+   let records, tail = Persist.scan path in
+   checkb "log: intact prefix" true (records = sample_records);
+   checkb "log: torn tail" true (tail = Record.Torn));
+  (with_temp @@ fun path ->
+   Sys.remove path;
+   let sink = Sink.ledger ~path () in
+   let report = Xy_xml.Types.(element "Report" []) in
+   List.iter
+     (fun seq ->
+       sink.Sink.deliver
+         { Sink.seq; recipient = "r"; subscription = "S"; report; at = 1. })
+     [ 1; 2; 3 ];
+   append_bytes path (oversized 'E');
+   let entries, tail = Sink.read_ledger path in
+   checki "ledger: intact prefix" 3 (List.length entries);
+   checkb "ledger: torn tail" true (tail = Record.Torn));
+  (with_temp @@ fun path ->
+   let txns =
+     [ [ { Durable.stage = "a"; payload = "1" } ];
+       [ { Durable.stage = "b"; payload = "2" } ] ]
+   in
+   Out_channel.with_open_bin path (fun oc ->
+       List.iter (Durable.Wal.append_txn ~sync:false oc) txns);
+   append_bytes path (oversized 'T');
+   let got, tail = Durable.Wal.scan path in
+   checkb "wal: intact prefix" true (got = txns);
+   checkb "wal: torn tail" true (tail = Record.Torn));
+  with_temp @@ fun path ->
+  Durable.Snapshot.write ~fsync:false path [ ("a", Durable.Inline "payload") ];
+  append_bytes path (oversized 'S');
+  checkb "snapshot: an error, not an exception" true
+    (Result.is_error (Durable.Snapshot.load path))
+
+(* The same damage on a killed run's WAL: restore reads it as a torn
+   tail and the resumed run finishes. *)
+let test_restore_oversized_wal_tail () =
+  with_temp_dir @@ fun dir ->
+  let x =
+    Xyleme.create ~seed:d_seed ~web:(d_web ()) ~sink:(d_ledger_sink dir)
+      ~durable_dir:dir ()
+  in
+  d_subscribe x;
+  let subs0 = subscription_set x in
+  Fault.arm_after (Xyleme.faults x) "crash" 60;
+  (try d_run x with Fault.Crash _ -> ());
+  append_bytes (Filename.concat dir "gen-0.wal") (oversized 'T');
+  match
+    Xyleme.restore ~seed:d_seed ~web:(d_web ()) ~sink:(d_ledger_sink dir) ~dir ()
+  with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok (x', info) ->
+      checkb "read as a torn tail" true (info.Xyleme.wal_tail = Record.Torn);
+      d_run x';
+      checkb "subscriptions intact" true (subscription_set x' = subs0)
+
+(* Random damage: build a valid log, overwrite a few random bytes
+   (biased toward header characters) and maybe cut it.  Every reader
+   must not raise, must return a prefix of what was written, and may
+   say Clean only for an untouched file cut at a record boundary. *)
+let gen_damage =
+  QCheck.Gen.(
+    pair
+      (list_size (0 -- 3)
+         (pair nat
+            (frequency
+               [ (3, char_range '0' '9'); (1, return ' ');
+                 (1, return '\n'); (2, char) ])))
+      (opt nat))
+
+let apply_damage full (mutations, cut) =
+  let b = Bytes.of_string full in
+  let n = Bytes.length b in
+  if n > 0 then List.iter (fun (pos, c) -> Bytes.set b (pos mod n) c) mutations;
+  Bytes.sub_string b 0 (match cut with None -> n | Some c -> c mod (n + 1))
+
+let reader_contract ~name ~record ~write ~scan =
+  QCheck.Test.make ~name ~count:200
+    QCheck.(make Gen.(pair (list_size (1 -- 8) record) gen_damage))
+    (fun (written, damage) ->
+      with_temp @@ fun path ->
+      Sys.remove path;
+      let bounds = write path written in
+      let full = In_channel.with_open_bin path In_channel.input_all in
+      let damaged = apply_damage full damage in
+      write_bytes path damaged;
+      let got, tail = scan path in
+      let cut = String.length damaged in
+      let untouched = damaged = String.sub full 0 cut in
+      let complete = List.length (List.filter (fun b -> b <= cut) bounds) in
+      got = firstn (List.length got) written
+      && ((not untouched) || got = firstn complete written)
+      && (tail <> Record.Clean || (untouched && (cut = 0 || List.mem cut bounds))))
+
+(* Append each item with [append oc], returning each record's end
+   offset. *)
+let write_records append path items =
+  Out_channel.with_open_bin path (fun oc ->
+      List.map
+        (fun item ->
+          append oc item;
+          flush oc;
+          pos_out oc)
+        items)
+
+let qcheck_record_reader =
+  reader_contract ~name:"record reader: random damage"
+    ~record:
+      QCheck.Gen.(
+        pair (oneofl [ 'I'; 'D'; 'E'; 'T'; 'S'; 'F' ])
+          (string_size ~gen:char (0 -- 30)))
+    ~write:
+      (write_records (fun oc (tag, payload) ->
+           (* in two parts: the checksum runs over them in turn *)
+           let k = String.length payload / 2 in
+           Record.output oc tag
+             [ String.sub payload 0 k;
+               String.sub payload k (String.length payload - k) ]))
+    ~scan:(fun path -> Record.scan path (fun tag payload -> (tag, payload)))
+
+let qcheck_persist_damage =
+  reader_contract ~name:"subscription log: random damage" ~record:gen_record
+    ~write:build_log ~scan:Persist.scan
+
+let qcheck_ledger_damage =
+  let report = Xy_xml.Types.(element "Report" []) in
+  reader_contract ~name:"ledger: random damage"
+    ~record:
+      QCheck.Gen.(
+        triple (0 -- 1000)
+          (oneofl [ "r"; "bob"; "" ])
+          (oneofl [ "S"; "a longer name"; "nl\nname" ]))
+    ~write:(fun path entries ->
+      let sink = Sink.ledger ~path () in
+      List.map
+        (fun (seq, recipient, subscription) ->
+          sink.Sink.deliver
+            { Sink.seq; recipient; subscription; report; at = float seq };
+          (Unix.stat path).Unix.st_size)
+        entries)
+    ~scan:(fun path ->
+      let entries, tail = Sink.read_ledger path in
+      ( List.map
+          (fun e -> (e.Sink.l_seq, e.Sink.l_recipient, e.Sink.l_subscription))
+          entries,
+        tail ))
+
+let qcheck_wal_damage =
+  reader_contract ~name:"wal: random damage"
+    ~record:QCheck.Gen.(list_size (1 -- 3) gen_wal_op)
+    ~write:(write_records (Durable.Wal.append_txn ~sync:false))
+    ~scan:Durable.Wal.scan
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -1979,6 +2188,19 @@ let () =
             test_persist_compaction_damage;
           tc "ledger: folds duplicates, abandons on damage"
             test_ledger_compaction;
+          tc "a failing compaction does not stop the crawl"
+            test_compaction_failure_keeps_crawling;
+        ] );
+      ( "record",
+        [
+          tc "oversized length: a verdict, not an exception"
+            test_oversized_length;
+          tc "restore past an oversized WAL tail"
+            test_restore_oversized_wal_tail;
+          QCheck_alcotest.to_alcotest qcheck_record_reader;
+          QCheck_alcotest.to_alcotest qcheck_persist_damage;
+          QCheck_alcotest.to_alcotest qcheck_ledger_damage;
+          QCheck_alcotest.to_alcotest qcheck_wal_damage;
         ] );
       ( "crash",
         [

@@ -3,6 +3,7 @@
    reports, virtuals, teardown). *)
 
 module Persist = Xy_submgr.Persist
+module Record = Xy_durable.Record
 module Manager = Xy_submgr.Manager
 module Registry = Xy_events.Registry
 module Mqp = Xy_core.Mqp
@@ -59,12 +60,36 @@ let test_persist_torn_tail_ignored () =
   Persist.close log;
   (* Simulate a torn write: append garbage. *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "R I 5 3 10 deadbeef\ntrunc";
+  output_string oc "I 40 deadbeefdeadbeef\ntrunc";
   close_out oc;
   (match Persist.replay path with
   | [ Persist.Insert { name = "A"; _ } ] -> ()
   | _ -> Alcotest.fail "torn tail must be ignored");
   Sys.remove path
+
+(* Drive an incremental compaction of the log at [path] to its end,
+   through a live handle closed afterwards. *)
+let compact_log path =
+  let log = Persist.open_log path in
+  let progress =
+    match Persist.compaction log with
+    | None -> Alcotest.fail "compaction refused a live log"
+    | Some task ->
+        let rec drive () =
+          match Record.Compaction.step task ~budget:2 with
+          | Record.Compaction.Running -> drive ()
+          | progress -> progress
+        in
+        drive ()
+  in
+  (log, progress)
+
+let compact path =
+  match compact_log path with
+  | log, Record.Compaction.Finished dropped ->
+      Persist.close log;
+      dropped
+  | _ -> Alcotest.fail "compaction of an intact log must finish"
 
 let test_persist_compact () =
   let path = temp_path () in
@@ -75,7 +100,7 @@ let test_persist_compact () =
   Persist.append_insert log ~name:"A" ~owner:"a" ~text:"v2";
   Persist.close log;
   let size_before = (Unix.stat path).Unix.st_size in
-  let dropped = Persist.compact path in
+  let dropped = compact path in
   checki "dropped superseded records" 2 dropped;
   checkb "smaller" true ((Unix.stat path).Unix.st_size < size_before);
   (* Survivors unchanged, order preserved. *)
@@ -85,7 +110,7 @@ let test_persist_compact () =
       ()
   | _ -> Alcotest.fail "compacted replay");
   (* Compacting twice is a no-op. *)
-  checki "idempotent" 0 (Persist.compact path);
+  checki "idempotent" 0 (compact path);
   (* The compacted log remains appendable. *)
   let log = Persist.open_log path in
   Persist.append_insert log ~name:"C" ~owner:"c" ~text:"new";
@@ -153,14 +178,14 @@ let test_persist_scan_tail_diagnosis () =
   Persist.close log;
   let content = In_channel.with_open_bin path In_channel.input_all in
   (match Persist.scan path with
-  | [ _; _ ], Persist.Clean -> ()
+  | [ _; _ ], Record.Clean -> ()
   | _ -> Alcotest.fail "intact log must scan Clean");
   (* Cut mid-record: the expected shape of a crash during append. *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc
         (String.sub content 0 (String.length content - 5)));
   (match Persist.scan path with
-  | [ Persist.Insert { name = "A"; _ } ], Persist.Torn -> ()
+  | [ Persist.Insert { name = "A"; _ } ], Record.Torn -> ()
   | _ -> Alcotest.fail "short final record must scan Torn");
   (* Damage a byte in place: the record is full length but fails its
      checksum — not a torn write, and must be diagnosed as such. *)
@@ -169,7 +194,7 @@ let test_persist_scan_tail_diagnosis () =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_bytes oc corrupted);
   (match Persist.scan path with
-  | [], Persist.Corrupt -> ()
+  | [], Record.Corrupt -> ()
   | _ -> Alcotest.fail "in-place damage must scan Corrupt");
   Sys.remove path
 
@@ -184,7 +209,7 @@ let test_persist_compact_truncates_stale_temp () =
   let stale = Persist.open_log (path ^ ".compact") in
   Persist.append_insert stale ~name:"GHOST" ~owner:"crashed" ~text:"stale";
   Persist.close stale;
-  checki "nothing to drop" 0 (Persist.compact path);
+  checki "nothing to drop" 0 (compact path);
   (match Persist.replay path with
   | [ Persist.Insert { name = "A"; _ } ] -> ()
   | records ->
@@ -199,15 +224,24 @@ let test_persist_compact_failure_leaves_log_intact () =
   Persist.append_insert log ~name:"A" ~owner:"o" ~text:"keep";
   Persist.close log;
   let temp = path ^ ".compact" in
+  let original = In_channel.with_open_bin path In_channel.input_all in
   (* A directory at the temp path makes the compaction fail before it
      can write anything. *)
   Unix.mkdir temp 0o755;
-  (match Persist.compact path with
-  | _ -> Alcotest.fail "compact must fail when it cannot write its temp"
-  | exception Sys_error _ -> ());
+  let log =
+    match compact_log path with
+    | log, Record.Compaction.Abandoned -> log
+    | _ -> Alcotest.fail "compact must fail when it cannot write its temp"
+  in
   (match Persist.replay path with
   | [ Persist.Insert { name = "A"; _ } ] -> ()
   | _ -> Alcotest.fail "failed compaction must leave the log intact");
+  checks "log byte-identical" original
+    (In_channel.with_open_bin path In_channel.input_all);
+  Persist.append_insert log ~name:"B" ~owner:"o" ~text:"after";
+  Persist.close log;
+  checki "the live log still accepts appends" 2
+    (List.length (Persist.replay path));
   Unix.rmdir temp;
   Sys.remove path
 
