@@ -170,20 +170,6 @@ let record_mqp ?probes_per_doc ?steals ?p99_lag_ms ~name ~docs_per_sec
 
 let bench_json_path = ref "BENCH_mqp.json"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_mqp_json ~scale =
   match List.rev !mqp_rows with
   | [] -> ()
@@ -192,14 +178,14 @@ let write_mqp_json ~scale =
       Printf.fprintf oc
         "{\n  \"schema\": \"xyleme-bench-mqp/1\",\n  \"scale\": \"%s\",\n\
         \  \"rows\": [\n"
-        (json_escape scale);
+        (Xy_util.Json.escape scale);
       let last = List.length rows - 1 in
       List.iteri
         (fun i r ->
           Printf.fprintf oc
             "    {\"name\": \"%s\", \"docs_per_sec\": %.1f, \
              \"memory_words\": %d%s}%s\n"
-            (json_escape r.row_name) r.docs_per_sec r.memory_words
+            (Xy_util.Json.escape r.row_name) r.docs_per_sec r.memory_words
             ((match r.probes_per_doc with
              | None -> ""
              | Some p -> Printf.sprintf ", \"probes_per_doc\": %.1f" p)

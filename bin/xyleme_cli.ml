@@ -311,7 +311,8 @@ where URL extends "http://site%d.example.org/" and modified self
 
 let print_snapshot ~xml xyleme =
   let snapshot = Xy_obs.Obs.snapshot (Xy_system.Xyleme.obs xyleme) in
-  if xml then print_string (Xy_obs.Obs.Snapshot.to_xml_string snapshot)
+  if xml then
+    print_string Xy_system.Self_monitor.(content (health_document ~snapshot))
   else Format.printf "%a@." Xy_obs.Obs.Snapshot.pp snapshot
 
 (* The freeze/delta lifecycle of the compact matcher, shown whenever
@@ -860,7 +861,10 @@ let stats_cmd =
     if not xml then print_compact_stats xyleme
   in
   let xml =
-    Arg.(value & flag & info [ "xml" ] ~doc:"Emit the snapshot as XML")
+    Arg.(
+      value & flag
+      & info [ "xml" ]
+          ~doc:"Emit the snapshot as XML (the self-monitoring health document)")
   in
   Cmd.v
     (Cmd.info "stats"

@@ -319,63 +319,6 @@ module Snapshot = struct
       t.entries;
     if t.entries = [] then Format.fprintf ppf "(no metrics registered)@,";
     Format.pp_close_box ppf ()
-
-  let escape s =
-    let buffer = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '&' -> Buffer.add_string buffer "&amp;"
-        | '<' -> Buffer.add_string buffer "&lt;"
-        | '>' -> Buffer.add_string buffer "&gt;"
-        | '"' -> Buffer.add_string buffer "&quot;"
-        | c -> Buffer.add_char buffer c)
-      s;
-    Buffer.contents buffer
-
-  let float_attr v = Printf.sprintf "%.6g" v
-
-  let to_xml_string t =
-    let buffer = Buffer.create 1024 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
-    add "<metrics at=\"%s\">\n" (float_attr t.at);
-    let last_stage = ref None in
-    let close_stage () =
-      if !last_stage <> None then add "  </stage>\n"
-    in
-    List.iter
-      (fun e ->
-        if !last_stage <> Some e.stage then begin
-          close_stage ();
-          add "  <stage name=\"%s\">\n" (escape e.stage);
-          last_stage := Some e.stage
-        end;
-        match e.value with
-        | Counter n -> add "    <counter name=\"%s\" value=\"%d\"/>\n" (escape e.name) n
-        | Gauge v ->
-            add "    <gauge name=\"%s\" value=\"%s\"/>\n" (escape e.name)
-              (float_attr v)
-        | Histogram h ->
-            let q p = float_attr (if h.count = 0 then 0. else quantile h p) in
-            add
-              "    <histogram name=\"%s\" count=\"%d\" sum=\"%s\" max=\"%s\" \
-               p50=\"%s\" p95=\"%s\" p99=\"%s\">\n"
-              (escape e.name) h.count (float_attr h.sum)
-              (float_attr (if h.count = 0 then 0. else h.max_value))
-              (q 0.5) (q 0.95) (q 0.99);
-            Array.iteri
-              (fun i c ->
-                let le =
-                  if i < Array.length h.bounds then float_attr h.bounds.(i)
-                  else "+inf"
-                in
-                if c > 0 then add "      <bucket le=\"%s\" count=\"%d\"/>\n" le c)
-              h.counts;
-            add "    </histogram>\n")
-      t.entries;
-    close_stage ();
-    add "</metrics>\n";
-    Buffer.contents buffer
 end
 
 let snapshot t =

@@ -143,11 +143,9 @@ module Snapshot : sig
       the rank, the recorded max for the overflow bucket. *)
   val quantile : histogram -> float -> float
 
-  (** Grouped, human-readable rendering. *)
+  (** Grouped, human-readable rendering.  (The XML rendering is
+      [Self_monitor.health_document], in [xy_system].) *)
   val pp : Format.formatter -> t -> unit
-
-  (** [<metrics>] document with one [<stage>] child per stage. *)
-  val to_xml_string : t -> string
 end
 
 (** [snapshot t] atomically merges every per-domain cell into an

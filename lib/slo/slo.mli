@@ -69,7 +69,9 @@ val spec_grammar : string
 
 val default_burn_limit : float
 
-(** [parse spec] reads the grammar above. *)
+(** [parse spec] reads the grammar above.  Thresholds, windows and
+    burn limits must be positive and finite ([inf] and [nan] are
+    rejected, so {!reports_to_json} stays valid JSON). *)
 val parse : string -> (objective, string) result
 
 (** {2 JSON rendering} (the telemetry [/slo] endpoint) *)

@@ -24,19 +24,47 @@ let value_text v =
   in
   String.concat " " (rendered :: markers v)
 
-let metric_value = function
-  | Obs.Snapshot.Counter n -> float_of_int n
-  | Obs.Snapshot.Gauge v -> v
-  | Obs.Snapshot.Histogram h -> float_of_int h.Obs.Snapshot.count
+let float_attr v = Printf.sprintf "%.6g" v
+
+(* A histogram adds to its sample count the sum, max and quantile
+   estimates (0 while empty) and one [<bucket>] child per non-empty
+   bucket ([le="+inf"] for the overflow bucket). *)
+let metric_element tag value =
+  let open Obs.Snapshot in
+  let text v = T.text (value_text v) in
+  match value with
+  | Counter n -> T.el tag [ text (float_of_int n) ]
+  | Gauge v -> T.el tag [ text v ]
+  | Histogram h ->
+      let stat f = float_attr (if h.count = 0 then 0. else f h) in
+      let bucket i count =
+        let le =
+          if i < Array.length h.bounds then float_attr h.bounds.(i) else "+inf"
+        in
+        T.el "bucket" ~attrs:[ ("le", le); ("count", string_of_int count) ] []
+      in
+      T.el tag
+        ~attrs:
+          [
+            ("sum", float_attr h.sum);
+            ("max", stat (fun h -> h.max_value));
+            ("p50", stat (fun h -> quantile h 0.5));
+            ("p95", stat (fun h -> quantile h 0.95));
+            ("p99", stat (fun h -> quantile h 0.99));
+          ]
+        (text (float_of_int h.count)
+        :: List.concat
+             (List.mapi
+                (fun i count -> if count = 0 then [] else [ bucket i count ])
+                (Array.to_list h.counts)))
 
 let health_document ~snapshot =
   let children =
     List.map
-      (fun entry ->
-        let tag =
-          entry.Obs.Snapshot.stage ^ "_" ^ entry.Obs.Snapshot.name
-        in
-        T.el tag [ T.text (value_text (metric_value entry.Obs.Snapshot.value)) ])
+      (fun e ->
+        metric_element
+          (e.Obs.Snapshot.stage ^ "_" ^ e.Obs.Snapshot.name)
+          e.Obs.Snapshot.value)
       snapshot.Obs.Snapshot.entries
   in
   T.element "health"
@@ -74,6 +102,9 @@ let traces_document tracer =
    watch any other page. *)
 let slo_url name = Printf.sprintf "xyleme://self/slo/%s.xml" name
 
+let slo_status (r : Xy_slo.Slo.report) =
+  if r.Xy_slo.Slo.r_breached then "breached" else "ok"
+
 let slo_document (r : Xy_slo.Slo.report) =
   let o = r.Xy_slo.Slo.r_objective in
   T.element "slo"
@@ -87,8 +118,7 @@ let slo_document (r : Xy_slo.Slo.report) =
       ]
     [
       (* the word the alerting subscription tests with [contains] *)
-      T.el "status"
-        [ T.text (if r.Xy_slo.Slo.r_breached then "breached" else "ok") ];
+      T.el "status" [ T.text (slo_status r) ];
       T.el "fast_burn" [ T.text (value_text r.Xy_slo.Slo.r_fast_burn) ];
       T.el "slow_burn" [ T.text (value_text r.Xy_slo.Slo.r_slow_burn) ];
       T.el "window_total"
@@ -97,11 +127,14 @@ let slo_document (r : Xy_slo.Slo.report) =
         [ T.text (value_text (float_of_int r.Xy_slo.Slo.r_good)) ];
     ]
 
-let health_content ~snapshot =
-  Xy_xml.Printer.element_to_string ~indent:2 (health_document ~snapshot) ^ "\n"
+let slo_changed ~stored r =
+  let status doc =
+    List.find_map
+      (fun child ->
+        if child.T.tag = "status" then Some (String.trim (T.text_content child))
+        else None)
+      (T.children_elements doc)
+  in
+  Option.bind stored status <> Some (slo_status r)
 
-let traces_content tracer =
-  Xy_xml.Printer.element_to_string ~indent:2 (traces_document tracer) ^ "\n"
-
-let slo_content report =
-  Xy_xml.Printer.element_to_string ~indent:2 (slo_document report) ^ "\n"
+let content doc = Xy_xml.Printer.element_to_string ~indent:2 doc ^ "\n"

@@ -2,10 +2,11 @@
 
     The paper's system is its own best use case: system health is just
     more XML data on (a virtual) web.  This module renders the
-    {!Xy_obs} snapshot and the {!Xy_trace} summaries as XML documents
-    under the [xyleme://self/] scheme; {!Xyleme.inject_self_monitor}
-    feeds them through the *unmodified* pipeline — loader, alerters,
-    MQP, reporter — so operators watch Xyleme with ordinary
+    {!Xy_obs} snapshot, the {!Xy_trace} summaries and the {!Xy_slo}
+    reports as XML documents under the [xyleme://self/] scheme;
+    {!Xyleme.advance} feeds the due ones through the *unmodified*
+    pipeline — loader, alerters, MQP, reporter — as a batch like any
+    crawl step's, so operators watch Xyleme with ordinary
     subscriptions, e.g.
 
     {v
@@ -29,15 +30,15 @@ val health_url : string
 val traces_url : string
 (** ["xyleme://self/traces.xml"] *)
 
-(** [markers v] is the decade-marker words for value [v], smallest
-    first ([[]] when [v < 1]). *)
-val markers : float -> string list
-
 (** [health_document ~snapshot] is a [<health>] element with one child
     per metric, tagged [<stage>_<name>] (e.g.
     [<reporter_buffer_depth>]); the text is the metric's value
     followed by its decade markers.  Histograms contribute their
-    sample count. *)
+    sample count as the value, [sum]/[max]/[p50]/[p95]/[p99]
+    attributes, and one [<bucket le count/>] child per non-empty
+    bucket ([le="+inf"] for the overflow).  This is the one XML view
+    of a metrics snapshot: [xyleme stats --xml] and the wire STATUS
+    reply serve it too. *)
 val health_document : snapshot:Xy_obs.Obs.Snapshot.t -> Xy_xml.Types.element
 
 (** [traces_document tracer] is a [<trace_summary>] element: sampled
@@ -57,8 +58,12 @@ val slo_url : string -> string
     tallies with decade markers. *)
 val slo_document : Xy_slo.Slo.report -> Xy_xml.Types.element
 
-(** Serialized forms of the documents, ready for {!Xyleme.ingest}. *)
-val health_content : snapshot:Xy_obs.Obs.Snapshot.t -> string
+(** [slo_changed ~stored report] is [true] when the [<status>] word of
+    [stored] (a previously ingested {!slo_document}) differs from
+    [report]'s, or when there is no stored copy: the objective's page
+    is due for ingestion. *)
+val slo_changed : stored:Xy_xml.Types.element option -> Xy_slo.Slo.report -> bool
 
-val traces_content : Xy_trace.Trace.t -> string
-val slo_content : Xy_slo.Slo.report -> string
+(** [content doc] is the serialized form of one of the documents
+    above, as it is ingested. *)
+val content : Xy_xml.Types.element -> string

@@ -56,7 +56,6 @@ type t = {
   crawler : Xy_crawler.Crawler.t;
   mutable manager : Manager.t option;  (** set right after creation *)
   self_monitor_period : float option;
-  mutable self_monitor_deadline : float option;
   mutable alerts_sent : int;
   durable : Durable.t option;
   mutable maintenance : (string * Record.Compaction.task) option;
@@ -79,9 +78,6 @@ type t = {
       (** warm restarts survived — carried across restores with the
           rest of the metrics, so it counts the directory's lifetime *)
   slo : Slo.t option;
-  slo_breached : (string, bool) Hashtbl.t;
-      (** last injected status per objective: an SLO document is
-          (re-)ingested only when the status flips, not every tick *)
   algorithm : Mqp.algorithm;
   mutable parallel : Parallel.config;
   mutable worker_ctxs : worker_ctx array;
@@ -182,24 +178,12 @@ let journal_counters t =
       Codec.int buf ms.Mqp.alerts_processed;
       Codec.int buf ms.Mqp.notifications_emitted)
 
-let encode_deadline buf = function
-  | Some d ->
-      Codec.bool buf true;
-      Codec.float buf d
-  | None -> Codec.bool buf false
-
-let journal_self_monitor_deadline t =
-  journal_op t ~stage:"system" (fun buf ->
-      Codec.string buf "M";
-      encode_deadline buf t.self_monitor_deadline)
-
 let encode_system t =
   let buf = Buffer.create 64 in
   Codec.float buf (Xy_util.Clock.now t.clock);
   Codec.int buf t.steps_done;
   Codec.bool buf t.mid_step;
   Codec.int buf t.alerts_sent;
-  encode_deadline buf t.self_monitor_deadline;
   let ms = Mqp.stats t.mqp in
   Codec.int buf ms.Mqp.alerts_processed;
   Codec.int buf ms.Mqp.notifications_emitted;
@@ -211,8 +195,6 @@ let decode_system t payload =
   t.steps_done <- Codec.read_int r;
   t.mid_step <- Codec.read_bool r;
   t.alerts_sent <- Codec.read_int r;
-  t.self_monitor_deadline <-
-    (if Codec.read_bool r then Some (Codec.read_float r) else None);
   let alerts_processed = Codec.read_int r in
   let notifications_emitted = Codec.read_int r in
   Codec.expect_end r;
@@ -296,9 +278,6 @@ let apply_system_op t payload =
       let alerts_processed = Codec.read_int r in
       let notifications_emitted = Codec.read_int r in
       Mqp.restore_counters t.mqp ~alerts_processed ~notifications_emitted
-  | "M" ->
-      t.self_monitor_deadline <-
-        (if Codec.read_bool r then Some (Codec.read_float r) else None)
   | tag -> raise (Codec.Malformed ("unknown system op " ^ tag)));
   Codec.expect_end r
 
@@ -554,8 +533,6 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
       crawler;
       manager = None;
       self_monitor_period;
-      self_monitor_deadline =
-        Option.map (fun p -> Xy_util.Clock.now clock +. p) self_monitor_period;
       alerts_sent = 0;
       durable;
       maintenance = None;
@@ -571,7 +548,6 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
         (match slos with
         | None | Some [] -> None
         | Some objectives -> Some (Slo.create objectives));
-      slo_breached = Hashtbl.create 8;
       algorithm = Option.value ~default:Mqp.Use_aes algorithm;
       parallel = Option.value ~default:Parallel.default_config parallel;
       worker_ctxs = [||];
@@ -602,11 +578,17 @@ let make ?(seed = 1) ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
   t
 
 (* The option resolution [create] and [restore] share: validate the
-   parallel configuration, let [serve_config] win over [serve_port],
-   and fold the WAL knobs into a durable configuration. *)
-let resolve_options ?parallel ?serve_port ?serve_config ?sync_every
-    ?segment_bytes () =
+   parallel configuration and the self-monitor period, let
+   [serve_config] win over [serve_port], and fold the WAL knobs into a
+   durable configuration. *)
+let resolve_options ?self_monitor_period ?parallel ?serve_port ?serve_config
+    ?sync_every ?segment_bytes () =
   Option.iter Parallel.validate parallel;
+  Option.iter
+    (fun p ->
+      if not (Float.is_finite p && p > 0.) then
+        invalid_arg "Xyleme: self_monitor_period must be positive and finite")
+    self_monitor_period;
   let serve_config =
     match (serve_config, serve_port) with
     | (Some _ as c), _ -> c
@@ -707,7 +689,8 @@ let serve_listen t =
                 | Error e -> Error (Manager.error_to_string e));
             cb_status =
               (fun () ->
-                Self_monitor.health_content ~snapshot:(Obs.snapshot t.obs));
+                let snapshot = Obs.snapshot t.obs in
+                Self_monitor.(content (health_document ~snapshot)));
           }
 
 (* Apply queued wire mutations (SUBSCRIBE/UNSUBSCRIBE/ACK) on the
@@ -734,8 +717,8 @@ let create ?seed ?algorithm ?policy ?persist_path ?sink ?web ?obs ?tracer
     ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_port
     ?serve_config ?durable_dir ?sync_every ?segment_bytes () =
   let serve_config, config =
-    resolve_options ?parallel ?serve_port ?serve_config ?sync_every
-      ?segment_bytes ()
+    resolve_options ?self_monitor_period ?parallel ?serve_port ?serve_config
+      ?sync_every ?segment_bytes ()
   in
   let durable = Option.map (Durable.open_fresh ~config) durable_dir in
   let t =
@@ -854,11 +837,12 @@ let match_inline t alert =
       (ids, Obs.now () -. t0))
     alert
 
-(* A document's effects on serial state, inside the caller's
-   transaction; returns the complex events it notified.  Op order:
-   the [L]/[X] op, then the reporter's (through dispatch), then the
-   counters. *)
-let apply_effects t ~conclude d o matched =
+(* One document as one transaction: the crash point comes before any
+   of its journal ops.  Op order: the [L]/[X] op, then the reporter's
+   (through dispatch), then the counters.  Returns the complex events
+   it notified. *)
+let apply_doc t ~conclude d o matched =
+  crash_point t ("ingest:" ^ d.bd_url);
   let dispatch () =
     match (o.alert, matched) with
     | Some alert, Some (ids, latency) ->
@@ -879,59 +863,60 @@ let apply_effects t ~conclude d o matched =
     Obs.Histogram.observe t.m_ingest_latency
       (o.span +. match matched with Some (_, latency) -> latency | None -> 0.)
   in
-  match o.load with
-  | Missing false -> []
-  | Missing true ->
-      journal_op t ~stage:"warehouse" (fun buf ->
-          Codec.string buf "X";
-          Codec.string buf d.bd_url;
-          Codec.float buf (Xy_util.Clock.now t.clock));
-      dispatch ()
-  | Quarantined reason ->
-      (* Unparseable documents are quarantined, not fatal: the
-         rejection is counted, logged and the crawl goes on, so a
-         corrupted page cannot take the pipeline down. *)
-      ingested ();
-      Obs.Counter.incr t.m_quarantined;
-      Log.warn (fun m -> m "quarantined %s: %s" d.bd_url reason);
-      concluded true;
-      []
-  | Loaded status ->
-      ingested ();
-      (* Replay re-applies the load through the Loader alone —
-         notifications and reports are replayed from their own
-         journaled ops, never re-derived, so a restore cannot
-         double-notify. *)
-      journal_op t ~stage:"warehouse" (fun buf ->
-          Codec.string buf "L";
-          Codec.string buf d.bd_url;
-          Codec.int buf (kind_tag d.bd_kind);
-          Codec.string buf (Option.get d.bd_content);
-          Codec.float buf (Xy_util.Clock.now t.clock));
-      let ids = dispatch () in
-      concluded (status <> Loader.Unchanged);
-      ids
-
-(* One batch document, as one transaction: the crash point comes
-   before any of its journal ops. *)
-let apply_doc t ~conclude d o matched =
-  crash_point t ("ingest:" ^ d.bd_url);
-  ignore (apply_effects t ~conclude d o matched);
+  let ids =
+    match o.load with
+    | Missing false -> []
+    | Missing true ->
+        journal_op t ~stage:"warehouse" (fun buf ->
+            Codec.string buf "X";
+            Codec.string buf d.bd_url;
+            Codec.float buf (Xy_util.Clock.now t.clock));
+        dispatch ()
+    | Quarantined reason ->
+        (* Unparseable documents are quarantined, not fatal: the
+           rejection is counted, logged and the crawl goes on, so a
+           corrupted page cannot take the pipeline down. *)
+        ingested ();
+        Obs.Counter.incr t.m_quarantined;
+        Log.warn (fun m -> m "quarantined %s: %s" d.bd_url reason);
+        concluded true;
+        []
+    | Loaded status ->
+        ingested ();
+        (* Replay re-applies the load through the Loader alone —
+           notifications and reports are replayed from their own
+           journaled ops, never re-derived, so a restore cannot
+           double-notify. *)
+        journal_op t ~stage:"warehouse" (fun buf ->
+            Codec.string buf "L";
+            Codec.string buf d.bd_url;
+            Codec.int buf (kind_tag d.bd_kind);
+            Codec.string buf (Option.get d.bd_content);
+            Codec.float buf (Xy_util.Clock.now t.clock));
+        let ids = dispatch () in
+        concluded (status <> Loader.Unchanged);
+        ids
+  in
   (* The document's synchronous journey ends here; reports held
      back by buffering fire from [tick] without attribution. *)
   Option.iter Trace.finish d.bd_trace;
-  commit_txn t
+  commit_txn t;
+  ids
 
-(* A single document outside any batch (self-monitoring and SLO
-   documents inside [advance], tests, examples): the same two halves,
-   but inside the caller's transaction and trace. *)
+(* A single document outside any batch (tests, examples, benches): the
+   same two halves, as its own transaction.  The caller's trace stays
+   open — the alert carries it through every stage's spans, and the
+   caller finishes it. *)
 let ingest ?trace ?birth t ~url ~content ~kind =
   let d =
     { bd_url = url; bd_content = Some content; bd_kind = kind;
       bd_trace = trace; bd_birth = birth }
   in
   let o = load_doc (owner_ctx t) d in
-  let matched = apply_effects t ~conclude:false d o (match_inline t o.alert) in
+  let matched =
+    apply_doc t ~conclude:false { d with bd_trace = None } o
+      (match_inline t o.alert)
+  in
   match o.load with
   | Loaded status -> { status; alerted = o.alert <> None; matched }
   | Quarantined reason -> raise (Loader.Rejected reason)
@@ -1033,7 +1018,7 @@ let process_batch t ~conclude docs =
     List.iter
       (fun d ->
         let o = load_doc ctx d in
-        apply_doc t ~conclude d o (match_inline t o.alert))
+        ignore (apply_doc t ~conclude d o (match_inline t o.alert)))
       docs
   else begin
     let docs = Array.of_list docs in
@@ -1059,7 +1044,9 @@ let process_batch t ~conclude docs =
         ~worker:(fun ~slot d ->
           let o = load_doc ctxs.(slot) d in
           (o, o.alert))
-        ~shard_match ~drain:(apply_doc t ~conclude) ()
+        ~shard_match
+        ~drain:(fun d o matched -> ignore (apply_doc t ~conclude d o matched))
+        ()
     with
     | stats ->
         absorb_worker_obs t ctxs;
@@ -1080,57 +1067,65 @@ let process_batch t ~conclude docs =
    fetched-state bookkeeping ([conclude]) is skipped. *)
 let ingest_batch t docs = process_batch t ~conclude:false docs
 
-(* Xyleme monitors itself: render the current metrics snapshot and
-   trace summary as XML and push them through the ordinary ingest
-   path, as if fetched from [xyleme://self/].  Health subscriptions
-   then ride the unmodified language/alerters/MQP/reporter. *)
-let inject_self_monitor t =
-  let snapshot = Obs.snapshot t.obs in
-  let health =
-    ingest t ~url:Self_monitor.health_url
-      ~content:(Self_monitor.health_content ~snapshot)
-      ~kind:Loader.Xml
-  in
-  let traces =
-    ingest t ~url:Self_monitor.traces_url
-      ~content:(Self_monitor.traces_content t.tracer)
-      ~kind:Loader.Xml
-  in
-  (health, traces)
-
-(* Evaluate the SLO objectives against the live metrics and ingest an
-   SLO document for every objective whose status flipped (first
-   evaluation included).  The document rides the ordinary pipeline —
-   subscriptions on [xyleme://self/slo/] do the actual alerting — and
-   the ingest journals like any other, so replay needs no SLO logic.
-   Engine window state itself is in-memory only: a restored run
-   re-fills its windows from the carried cumulative metrics. *)
-let evaluate_slos t =
-  match t.slo with
-  | None -> ()
-  | Some engine ->
-      let now = Xy_util.Clock.now t.clock in
-      let reports = Slo.tick engine ~now (Obs.snapshot t.obs) in
-      List.iter
-        (fun (r : Slo.report) ->
-          let name = r.Slo.r_objective.Slo.o_name in
-          if Hashtbl.find_opt t.slo_breached name <> Some r.Slo.r_breached
-          then begin
-            Hashtbl.replace t.slo_breached name r.Slo.r_breached;
-            if r.Slo.r_breached then
-              Log.warn (fun m ->
-                  m "SLO %s breached: fast burn %.2f, slow burn %.2f" name
-                    r.Slo.r_fast_burn r.Slo.r_slow_burn)
-            else Log.info (fun m -> m "SLO %s ok" name);
-            ignore
-              (ingest t ~url:(Self_monitor.slo_url name)
-                 ~content:(Self_monitor.slo_content r)
-                 ~kind:Loader.Xml)
-          end)
-        reports
-
 let slo_reports t =
   match t.slo with None -> [] | Some engine -> Slo.reports engine
+
+(* Xyleme monitors itself: its health page, trace summary and one
+   page per SLO objective run through the batch path as if fetched
+   from [xyleme://self/], so subscriptions on them ride the unmodified
+   language, alerters, MQP and reporter.  When a page is due is read
+   off its warehouse copy, durable like any page, so nothing else is
+   stored: health and traces once the clock has crossed a multiple of
+   the period since the copy was loaded (one injection even after a
+   long jump: they describe the present); an SLO page when the copy's
+   [<status>] word differs from the engine's latest report. *)
+let inject_self_documents t =
+  let now = Xy_util.Clock.now t.clock in
+  let stored url = Store.find t.store url in
+  let doc url render =
+    { bd_url = url; bd_content = Some (Self_monitor.content (render ()));
+      bd_kind = Loader.Xml; bd_trace = None; bd_birth = None }
+  in
+  let periodic (url, render) =
+    match t.self_monitor_period with
+    | None -> None
+    | Some period ->
+        let multiples time = Float.floor (time /. period) in
+        let due =
+          match stored url with
+          | None -> now >= period
+          | Some e ->
+              multiples now
+              > multiples e.Store.meta.Xy_warehouse.Meta.last_accessed
+        in
+        if due then Some (doc url render) else None
+  in
+  let slo (r : Slo.report) =
+    let url = Self_monitor.slo_url r.Slo.r_objective.Slo.o_name in
+    let copy =
+      Option.bind (stored url) (fun e -> Option.map Xy_xml.Xid.strip e.Store.tree)
+    in
+    if not (Self_monitor.slo_changed ~stored:copy r) then None
+    else begin
+      (if r.Slo.r_breached then Log.warn else Log.info) (fun m ->
+          m "SLO %s %s: fast burn %.2f, slow burn %.2f"
+            r.Slo.r_objective.Slo.o_name
+            (if r.Slo.r_breached then "breached" else "ok")
+            r.Slo.r_fast_burn r.Slo.r_slow_burn);
+      Some (doc url (fun () -> Self_monitor.slo_document r))
+    end
+  in
+  match
+    List.filter_map periodic
+      [
+        ( Self_monitor.health_url,
+          fun () -> Self_monitor.health_document ~snapshot:(Obs.snapshot t.obs) );
+        (Self_monitor.traces_url, fun () -> Self_monitor.traces_document t.tracer);
+      ]
+    @ List.filter_map slo (slo_reports t)
+  with
+  | [] -> ()
+  | docs -> process_batch t ~conclude:false docs
 
 let discover t = Xy_crawler.Crawler.discover t.crawler
 
@@ -1195,6 +1190,8 @@ let maintenance_step t =
    can delay a page's processing, never lose it. *)
 let crawl_step t ~limit =
   crash_point t "crawl-start";
+  (* nothing is due here unless a kill cut [advance]'s self batch short *)
+  inject_self_documents t;
   let urls = Xy_crawler.Fetch_queue.pop_due t.queue ~limit in
   commit_txn t;
   let fetches =
@@ -1270,22 +1267,18 @@ let advance t ~seconds =
   Xy_crawler.Crawler.update_watermark t.crawler;
   Xy_trigger.Trigger_engine.tick t.trigger;
   Xy_reporter.Reporter.tick t.reporter;
-  (match t.self_monitor_period, t.self_monitor_deadline with
-  | Some period, Some deadline ->
-      let now = Xy_util.Clock.now t.clock in
-      if now >= deadline then begin
-        (* One injection per advance even after a long jump — health
-           documents describe the present, there is no backlog to
-           replay. *)
-        let rec next d = if d <= now then next (d +. period) else d in
-        t.self_monitor_deadline <- Some (next deadline);
-        journal_self_monitor_deadline t;
-        ignore (inject_self_monitor t)
-      end
-  | _ -> ());
-  evaluate_slos t;
+  Option.iter
+    (fun engine ->
+      ignore
+        (Slo.tick engine ~now:(Xy_util.Clock.now t.clock) (Obs.snapshot t.obs)))
+    t.slo;
   t.mid_step <- true;
-  commit_txn t
+  commit_txn t;
+  (* After the commit, one transaction per self document.  Here rather
+     than in [crawl_step], the continuous queries they trigger run
+     before the fetches, so wire requests issued during a crawl step
+     do not wait for them. *)
+  inject_self_documents t
 
 let run t ~days ~step ~fetch_limit =
   discover t;
@@ -1345,8 +1338,8 @@ let restore ?seed ?algorithm ?policy ?sink ?web ?obs ?tracer
     ?self_monitor_period ?fault_plan ?retry ?slos ?parallel ?serve_port
     ?serve_config ?sync_every ?segment_bytes ~dir () =
   let serve_config, config =
-    resolve_options ?parallel ?serve_port ?serve_config ?sync_every
-      ?segment_bytes ()
+    resolve_options ?self_monitor_period ?parallel ?serve_port ?serve_config
+      ?sync_every ?segment_bytes ()
   in
   match Durable.open_existing ~config dir with
   | None -> Error (Printf.sprintf "no durable run in %s (missing MANIFEST)" dir)

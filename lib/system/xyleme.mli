@@ -20,8 +20,11 @@ type t
     with {!Xy_trace.Trace.set_sampling} on {!tracer}).  Its virtual
     clock is bound to this system's simulation clock.
 
-    [self_monitor_period] (virtual seconds) makes {!advance} inject
-    the {!Self_monitor} health documents periodically.
+    [self_monitor_period] (virtual seconds) makes {!advance} ingest
+    the {!Self_monitor} health and trace documents once per period:
+    each is due when the clock has crossed a multiple of the period
+    since its stored copy was loaded.  It must be positive and finite,
+    or [create] raises [Invalid_argument].
 
     [fault_plan] arms {!Xy_fault.Fault} failure points across the
     pipeline (fetch failures, malformed documents, torn persist
@@ -50,10 +53,11 @@ type t
     injector so the [crash] point can be armed.
 
     [slos] arms freshness objectives ({!Xy_slo.Slo}): each {!advance}
-    evaluates them against the live metrics, and an objective whose
-    breached status flips gets an SLO document ingested at
-    [xyleme://self/slo/<name>.xml] — subscriptions on that prefix do
-    the actual alerting through the unmodified pipeline.
+    evaluates them against the live metrics and ingests an SLO
+    document at [xyleme://self/slo/<name>.xml] for every objective
+    whose status word differs from the warehouse copy (or has none
+    yet) — subscriptions on that prefix do the actual alerting through
+    the unmodified pipeline.
 
     [parallel] selects the sharded crawl → match → report pipeline
     ({!Parallel}): with [domains > 1], each crawl step's fetches fan
@@ -178,7 +182,8 @@ val steps_done : t -> int
 val restarts : t -> int
 
 (** [slo_reports t] is the latest evaluation of each armed freshness
-    objective ([[]] without [slos], or before the first {!advance}).
+    objective ([[]] without [slos], and until the first {!advance} of
+    a fresh or restored system).
     Thread-safe — the telemetry endpoint reads it live. *)
 val slo_reports : t -> Xy_slo.Slo.report list
 
@@ -215,12 +220,12 @@ type ingest_outcome = {
 
 (** [ingest t ~url ~content ~kind] pushes one fetched page through
     loader → alerters → processor → reporter/trigger: the batch's
-    per-document path (see {!ingest_batch}), run inline and inside the
-    caller's transaction.  An unparseable page is quarantined exactly
-    as in a batch, then [Loader.Rejected] is raised.  A [trace] context
-    attributes each stage to the document's trace; the caller remains
-    responsible for {!Xy_trace.Trace.finish}.  [birth] is the virtual
-    birth time of the oldest change this content carries
+    per-document path (see {!ingest_batch}), run inline as one
+    transaction of its own.  An unparseable page is quarantined
+    exactly as in a batch, then [Loader.Rejected] is raised.  A
+    [trace] context attributes each stage to the document's trace; the
+    caller remains responsible for {!Xy_trace.Trace.finish}.  [birth]
+    is the virtual birth time of the oldest change this content carries
     ({!Xy_crawler.Crawler.fetch.birth}): it rides the alert to the
     reporter, which records the end-to-end notification lag when the
     resulting report fires. *)
@@ -262,13 +267,6 @@ type batch_doc = {
     are emitted in batch order regardless of the configuration. *)
 val ingest_batch : t -> batch_doc list -> unit
 
-(** [inject_self_monitor t] renders the current metrics snapshot and
-    trace summary ({!Self_monitor}) and ingests them as documents
-    under [xyleme://self/], returning the two outcomes
-    [(health, traces)].  Health subscriptions fire through the normal
-    pipeline. *)
-val inject_self_monitor : t -> ingest_outcome * ingest_outcome
-
 (** {2 The crawl loop} *)
 
 (** [discover t] seeds the fetch queue with the synthetic web's
@@ -276,12 +274,19 @@ val inject_self_monitor : t -> ingest_outcome * ingest_outcome
 val discover : t -> unit
 
 (** [crawl_step t ~limit] fetches and ingests up to [limit] due pages;
-    returns the number fetched. *)
+    returns the number fetched.  It first ingests any self-monitoring
+    document still due (see {!advance}) — none, unless a kill cut
+    [advance] short. *)
 val crawl_step : t -> limit:int -> int
 
 (** [advance t ~seconds] moves virtual time: the web evolves, the
     trigger engine runs due continuous queries, the reporter evaluates
-    periodic report conditions. *)
+    periodic report conditions and the SLO engine evaluates its
+    objectives.  Then the due self-monitoring documents
+    ({!Self_monitor}: health and traces under [self_monitor_period],
+    SLO documents under [slos]) run as a batch of their own through
+    the per-document path fetched pages take ({!ingest_batch}), serial
+    or {!Parallel}, one transaction per document. *)
 val advance : t -> seconds:float -> unit
 
 (** [run t ~days ~step ~fetch_limit] alternates [advance] and
@@ -325,11 +330,17 @@ val run_resumable :
     histograms continue from where the killed run left off, and the
     [system/restarts] counter records the warm restart itself.
 
+    The self-monitoring schedule needs no state of its own: whether a
+    health or SLO document is due is read off its warehouse copy, so a
+    restored run injects them at the same virtual times, and an SLO
+    document is re-ingested only when its status word changes.
+
     Not persisted (documented trade-offs): per-subscription
     {!Xy_alerters.Result_delta} tracker state, {!Store.history}
     windows, and SLO sliding-window samples (a restored run's burn
     rates re-fill from the carried cumulative metrics within one slow
-    window). *)
+    window, so an objective breached at the kill can read [ok], and
+    get an [ok] document, until then). *)
 
 type checkpoint_info = {
   generation : int;  (** the new current generation *)
@@ -364,7 +375,8 @@ type restore_info = {
     configuration arguments must match the original [create] call
     (they are not persisted).  [Error _] when [dir] holds no durable
     run or its state is damaged beyond the WAL's torn tail; an invalid
-    [parallel] raises [Invalid_argument] as in {!create}. *)
+    [parallel] or [self_monitor_period] raises [Invalid_argument] as
+    in {!create}. *)
 val restore :
   ?seed:int ->
   ?algorithm:Xy_core.Mqp.algorithm ->

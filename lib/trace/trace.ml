@@ -291,21 +291,7 @@ let summary t =
 (* ------------------------------------------------------------------ *)
 (* Export *)
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
+module Json = Xy_util.Json
 
 let json_float v = Printf.sprintf "%.9g" v
 
@@ -314,19 +300,19 @@ let span_to_json s =
     String.concat ","
       (List.map
          (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+           Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
          s.sp_attrs)
   in
   Printf.sprintf
     "{\"stage\":\"%s\",\"name\":\"%s\",\"start_wall\":%s,\"dur_wall\":%s,\"start_virtual\":%s,\"dur_virtual\":%s,\"attrs\":{%s}}"
-    (json_escape s.sp_stage) (json_escape s.sp_name)
+    (Json.escape s.sp_stage) (Json.escape s.sp_name)
     (json_float s.sp_start_wall) (json_float s.sp_dur_wall)
     (json_float s.sp_start_virtual) (json_float s.sp_dur_virtual) attrs
 
 let trace_to_jsonl trace =
   Printf.sprintf
     "{\"id\":%d,\"root\":\"%s\",\"start_wall\":%s,\"dur_wall\":%s,\"start_virtual\":%s,\"spans\":[%s]}"
-    trace.tr_id (json_escape trace.tr_root)
+    trace.tr_id (Json.escape trace.tr_root)
     (json_float trace.tr_start_wall)
     (json_float trace.tr_dur_wall)
     (json_float trace.tr_start_virtual)

@@ -171,13 +171,31 @@ let test_renderers_smoke () =
   let text = Format.asprintf "%a" Obs.Snapshot.pp snapshot in
   checkb "pp groups by stage" true
     (Xy_query.Eval.word_contains ~word:"mqp" text && String.length text > 0);
-  let xml = Obs.Snapshot.to_xml_string snapshot in
+  let xml = Xy_system.Self_monitor.(content (health_document ~snapshot)) in
   checkb "xml counter" true
-    (Xy_query.Eval.word_contains ~word:"alerts" xml);
+    (Xy_query.Eval.word_contains ~word:"mqp_alerts" xml);
   (* the XML renderer must emit a well-formed document *)
   match Xy_xml.Parser.parse xml with
-  | _ -> ()
   | exception Xy_xml.Parser.Error _ -> Alcotest.fail "snapshot XML unparseable"
+  | doc -> (
+      (* a histogram keeps its count as text and carries its summary
+         and non-empty buckets *)
+      let module T = Xy_xml.Types in
+      match
+        List.find_opt
+          (fun e -> e.T.tag = "mqp_lat")
+          (T.children_elements doc.T.root)
+      with
+      | None -> Alcotest.fail "histogram element missing"
+      | Some h ->
+          checkb "count as text" true
+            (Xy_query.Eval.word_contains ~word:"1" (T.text_content h));
+          List.iter
+            (fun a -> checkb ("attribute " ^ a) true (T.attr h a <> None))
+            [ "sum"; "max"; "p50"; "p95"; "p99" ];
+          Alcotest.(check int)
+            "one non-empty bucket" 1
+            (List.length (T.children_elements h)))
 
 let test_timer_clamp () =
   (* Regression: the default [Sys.time] timer measures CPU seconds,

@@ -167,6 +167,110 @@ let test_json_shape () =
   checkb "burn fields" true (contains "\"fast_burn\"");
   checkb "empty list renders" true (Slo.reports_to_json [] = "[]")
 
+(* A strict JSON checker (RFC 8259 values, no extensions): enough to
+   prove the endpoint's body is something a JSON parser accepts. *)
+let json_valid s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let skip_ws () =
+    while !pos < n && String.contains " \t\n\r" s.[!pos] do incr pos done
+  in
+  let expect c = if peek () = Some c then incr pos else raise Exit in
+  let digits () =
+    let start = !pos in
+    while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do incr pos done;
+    if !pos = start then raise Exit
+  in
+  let literal w =
+    let m = String.length w in
+    if !pos + m <= n && String.sub s !pos m = w then pos := !pos + m
+    else raise Exit
+  in
+  let string_ () =
+    expect '"';
+    let rec go () =
+      match peek () with
+      | None -> raise Exit
+      | Some '"' -> incr pos
+      | Some '\\' ->
+          pos := !pos + 2;
+          go ()
+      | Some c when Char.code c < 0x20 -> raise Exit
+      | Some _ ->
+          incr pos;
+          go ()
+    in
+    go ()
+  in
+  let number () =
+    if peek () = Some '-' then incr pos;
+    digits ();
+    if peek () = Some '.' then (incr pos; digits ());
+    (match peek () with
+    | Some ('e' | 'E') ->
+        incr pos;
+        (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
+        digits ()
+    | _ -> ())
+  in
+  let rec value () =
+    skip_ws ();
+    (match peek () with
+    | Some '{' -> members '}' (fun () -> string_ (); skip_ws (); expect ':'; value ())
+    | Some '[' -> members ']' value
+    | Some '"' -> string_ ()
+    | Some 't' -> literal "true"
+    | Some 'f' -> literal "false"
+    | Some 'n' -> literal "null"
+    | _ -> number ());
+    skip_ws ()
+  and members close item =
+    incr pos;
+    skip_ws ();
+    if peek () = Some close then incr pos
+    else begin
+      let rec more () =
+        skip_ws ();
+        item ();
+        match peek () with
+        | Some ',' -> incr pos; more ()
+        | Some c when c = close -> incr pos
+        | _ -> raise Exit
+      in
+      more ()
+    end
+  in
+  match value () with () -> !pos = n | exception Exit -> false
+
+(* [float_of_string] reads "inf", "infinity" and "nan"; such a spec
+   used to parse, and [/slo] then served [inf] — not JSON. *)
+let test_json_rejects_non_finite_specs () =
+  List.iter
+    (fun spec ->
+      match Slo.parse spec with
+      | Error _ -> ()
+      | Ok o ->
+          Alcotest.failf "parse %S: accepted, renders %s" spec
+            (Slo.reports_to_json
+               (Slo.tick (Slo.create [ o ]) ~now:hour Obs.Snapshot.empty)))
+    [
+      "x:crawler/detection_lag<=inf:0.9:1d/infd:inf";
+      "x:s/m<=infinity:0.9:1d/7d";
+      "x:s/m<=nan:0.9:1d/7d";
+      "x:s/m<=1:0.9:1d/infd";
+      "x:s/m<=1:0.9:1e308d/1e308d";
+      "x:s/m<=1:0.9:1d/7d:inf";
+      "x:s/m<=1:0.9:1d/7d:nan";
+    ];
+  (* what does parse renders as JSON a parser accepts *)
+  let o = parse_exn "x:crawler/detection_lag<=1e300:0.9:1d/1e9d:1e300" in
+  let reports = Slo.tick (Slo.create [ o ]) ~now:hour Obs.Snapshot.empty in
+  let json = Slo.reports_to_json reports in
+  checkb ("valid JSON: " ^ json) true (json_valid json);
+  checkb "the checker rejects inf" false
+    (json_valid "[{\"threshold\":inf}]")
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "slo"
@@ -184,5 +288,9 @@ let () =
           tc "blip" test_blip_does_not_breach;
           tc "no samples" test_no_samples_no_breach;
         ] );
-      ( "json", [ tc "shape" test_json_shape ] );
+      ( "json",
+        [
+          tc "shape" test_json_shape;
+          tc "non-finite specs rejected" test_json_rejects_non_finite_specs;
+        ] );
     ]

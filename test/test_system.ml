@@ -8,6 +8,7 @@ module Sink = Xy_reporter.Sink
 module Loader = Xy_warehouse.Loader
 module Clock = Xy_util.Clock
 module T = Xy_xml.Types
+module Fault = Xy_fault.Fault
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -504,13 +505,22 @@ report when immediate|});
 (* ------------------------------------------------------------------ *)
 (* Self-monitoring: system health as ordinary monitored documents *)
 
+let self_period = 12. *. 3600.
+
+let stored_meta t url =
+  Option.map
+    (fun e -> e.Xy_warehouse.Store.meta)
+    (Xy_warehouse.Store.find (Xyleme.store t) url)
+
 (* The acceptance scenario: an operator subscribes to the system's own
    health pages with the unmodified subscription language, and the
    subscription fires through the normal loader → alerters → MQP →
    reporter path — no side channel. *)
 let test_self_monitor_subscription_fires () =
   let sink, deliveries = Sink.memory () in
-  let t = Xyleme.create ~seed:42 ~sink () in
+  let t =
+    Xyleme.create ~seed:42 ~sink ~self_monitor_period:self_period ()
+  in
   ignore
     (subscribe_exn t ~owner:"operator"
        ~text:
@@ -530,16 +540,34 @@ monitoring
 where modified self\\warehouse_loaded_new contains "over_1"
   and URL extends "xyleme://self/metrics"
 report when immediate|});
+  (* Steps that fetch nothing: only the self pages flow. *)
+  let step () =
+    Xyleme.advance t ~seconds:(self_period /. 2.);
+    ignore (Xyleme.crawl_step t ~limit:0)
+  in
+  step ();
+  checkb "not due before one period" true
+    (stored_meta t Xy_system.Self_monitor.health_url = None);
   (* First injection: the health pages are new, nothing is modified
      yet. *)
-  let h1, _ = Xyleme.inject_self_monitor t in
-  checkb "health page alerted the processor" true h1.Xyleme.alerted;
+  step ();
+  checki "both self pages alerted the processor" 2
+    (Xyleme.stats t).Xyleme.alerts_sent;
   checki "new pages do not fire modified-self" 0 (List.length !deliveries);
+  step ();
+  checki "not due again within the period" 2 (Xyleme.stats t).Xyleme.alerts_sent;
   (* The injection itself moved the metrics (two documents loaded), so
      the second health page differs from the first: modified-self and
      the over_1 threshold both fire. *)
-  let h2, _ = Xyleme.inject_self_monitor t in
-  checkb "second health page matched" true (h2.Xyleme.matched <> []);
+  step ();
+  checkb "second health page matched" true
+    ((Xyleme.stats t).Xyleme.notifications > 0);
+  (match stored_meta t Xy_system.Self_monitor.health_url with
+  | Some meta ->
+      checki "two health versions" 2 meta.Xy_warehouse.Meta.version;
+      Alcotest.(check (float 0.)) "loaded at the period boundary"
+        (2. *. self_period) meta.Xy_warehouse.Meta.last_accessed
+  | None -> Alcotest.fail "health page not stored");
   let fired =
     List.sort_uniq compare
       (List.map (fun d -> d.Sink.subscription) !deliveries)
@@ -563,6 +591,17 @@ report when immediate|});
               | None -> false)
         | _ -> Alcotest.fail "expected one HealthAlert")
     !deliveries
+
+(* A zero period used to spin [advance] forever; a non-finite one
+   would make every step due or none.  Both entry points reject it
+   before anything is opened. *)
+let test_self_monitor_period_validated () =
+  List.iter
+    (fun p ->
+      match Xyleme.create ~self_monitor_period:p () with
+      | _ -> Alcotest.failf "create accepted period %g" p
+      | exception Invalid_argument _ -> ())
+    [ 0.; -3600.; Float.nan; Float.infinity ]
 
 (* ------------------------------------------------------------------ *)
 (* Freshness: staleness accounting, SLO alerting, metric carry *)
@@ -752,6 +791,148 @@ report when count > 2 atmost daily|});
       in
       checkb "still counting" true (after > carried)
 
+let test_restore_rejects_bad_period () =
+  with_temp_dir @@ fun dir ->
+  let x = Xyleme.create ~seed:7 ~durable_dir:dir () in
+  Xyleme.run_resumable x ~days:0.5 ~step:day_step ~fetch_limit:10;
+  List.iter
+    (fun p ->
+      match Xyleme.restore ~seed:7 ~self_monitor_period:p ~dir () with
+      | _ -> Alcotest.failf "restore accepted period %g" p
+      | exception Invalid_argument _ -> ())
+    [ 0.; -1.; Float.nan; Float.infinity ]
+
+(* The self-monitor schedule is read off the warehouse, so a kill
+   anywhere in a step that injects — between the health and the trace
+   page included — resumes on the uninterrupted run's schedule: every
+   page keeps its version count and load times. *)
+let test_self_monitor_survives_restore () =
+  let fresh_web () = Web.generate ~seed:7 ~sites:3 ~pages_per_site:4 () in
+  (* every commit synced: a kill loses only the transaction it cuts *)
+  let create ?durable_dir () =
+    Xyleme.create ~seed:7 ~web:(fresh_web ()) ~self_monitor_period:self_period
+      ?durable_dir ~sync_every:1 ()
+  in
+  let pages t =
+    List.map
+      (fun url ->
+        match stored_meta t url with
+        | Some m -> (m.Xy_warehouse.Meta.version, m.Xy_warehouse.Meta.last_accessed)
+        | None -> (0, 0.))
+      [ Xy_system.Self_monitor.health_url; Xy_system.Self_monitor.traces_url ]
+  in
+  (* one 6 h step at a time up to step [last], recording the self
+     pages after each *)
+  let steps t ~last =
+    List.init
+      (last - Xyleme.steps_done t)
+      (fun _ ->
+        Xyleme.run_resumable t
+          ~days:(float_of_int (Xyleme.steps_done t + 1) *. 0.25)
+          ~step:day_step ~fetch_limit:50;
+        pages t)
+  in
+  let expected = steps (create ()) ~last:12 in
+  (* Five steps, then a kill at the K-th crash point of the sixth
+     (36 h, an injection), for every K until the kill lands past it. *)
+  let self_kills = ref 0 in
+  let rec kill_at k =
+    let past_step_six =
+      with_temp_dir @@ fun dir ->
+      let x = create ~durable_dir:dir () in
+      let before = steps x ~last:5 in
+      Fault.arm_after (Xyleme.faults x) "crash" k;
+      match steps x ~last:12 with
+      | _ -> Alcotest.fail "the armed crash did not fire"
+      | exception Fault.Crash _ when Xyleme.steps_done x > 5 -> true
+      | exception Fault.Crash label -> (
+          if String.starts_with ~prefix:"ingest:xyleme://self/" label then
+            incr self_kills;
+          match
+            Xyleme.restore ~seed:7 ~web:(fresh_web ())
+              ~self_monitor_period:self_period ~sync_every:1 ~dir ()
+          with
+          | Error e -> Alcotest.failf "K=%d: restore failed: %s" k e
+          | Ok (x', _) ->
+              Alcotest.(check (list (list (pair int (float 0.)))))
+                (Printf.sprintf "K=%d (%s): versions and load times" k label)
+                expected
+                (before @ steps x' ~last:12);
+              false)
+    in
+    if not past_step_six then kill_at (k + 1)
+  in
+  kill_at 1;
+  checki "killed at both self pages" 2 !self_kills
+
+(* An SLO page is re-ingested only when its status word changes — also
+   across a warm restart, which starts the engine with no reports.  A
+   never-breached objective's page is stored once, so a watcher on
+   modifications of it never fires, killed run or not. *)
+let test_slo_pages_survive_restore () =
+  let fresh_web () = Web.generate ~seed:5 ~sites:3 ~pages_per_site:4 () in
+  let lax =
+    {
+      Slo.o_name = "lax";
+      o_stage = "crawler";
+      o_metric = "detection_lag";
+      o_threshold = 1e9;
+      o_target = 0.5;
+      o_fast_window = 86_400.;
+      o_slow_window = 2. *. 86_400.;
+      o_burn_limit = 1.;
+    }
+  in
+  let watcher t =
+    ignore
+      (subscribe_exn t ~owner:"oncall"
+         ~text:
+           {|subscription SloWatch
+monitoring
+select <SloAlert url=URL/>
+where URL extends "xyleme://self/slo/" and modified self
+report when immediate|})
+  in
+  let watched deliveries =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun d ->
+           if d.Sink.subscription = "SloWatch" then Some d.Sink.seq else None)
+         deliveries)
+  in
+  let run t days = Xyleme.run_resumable t ~days ~step:day_step ~fetch_limit:50 in
+  let sink, deliveries = Sink.memory () in
+  let baseline =
+    Xyleme.create ~seed:5 ~sink ~web:(fresh_web ()) ~slos:[ lax ] ()
+  in
+  watcher baseline;
+  run baseline 6.;
+  (match Xyleme.slo_reports baseline with
+  | [ r ] -> checkb "objective never breached" false r.Slo.r_breached
+  | _ -> Alcotest.fail "expected one slo report");
+  with_temp_dir @@ fun dir ->
+  let sink1, deliveries1 = Sink.memory () in
+  let x =
+    Xyleme.create ~seed:5 ~sink:sink1 ~web:(fresh_web ()) ~slos:[ lax ]
+      ~durable_dir:dir ()
+  in
+  watcher x;
+  (* step 12 of 24 completes, then the kill lands on step 13's advance *)
+  run x 3.;
+  Fault.arm_after (Xyleme.faults x) "crash" 1;
+  (try run x 6. with Fault.Crash _ -> ());
+  let sink2, deliveries2 = Sink.memory () in
+  match
+    Xyleme.restore ~seed:5 ~sink:sink2 ~web:(fresh_web ()) ~slos:[ lax ] ~dir ()
+  with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok (x', _) ->
+      run x' 6.;
+      checki "steps" 24 (Xyleme.steps_done x');
+      checki "watcher reports equal the uninterrupted run's"
+        (List.length (watched !deliveries))
+        (List.length (watched (!deliveries1 @ !deliveries2)))
+
 (* ------------------------------------------------------------------ *)
 (* Bus *)
 
@@ -858,6 +1039,7 @@ let () =
           tc "stats" test_stats_consistency;
           tc "trace covers pipeline" test_trace_covers_pipeline;
           tc "self-monitor subscription" test_self_monitor_subscription_fires;
+          tc "self-monitor period validated" test_self_monitor_period_validated;
         ] );
       ( "freshness",
         [
@@ -865,6 +1047,9 @@ let () =
           tc "staleness accounting" test_staleness_accounting;
           tc "slo breach fires report" test_slo_breach_fires_report;
           tc "restore carries metrics" test_restore_carries_metrics;
+          tc "restore rejects a bad self-monitor period" test_restore_rejects_bad_period;
+          tc "self-monitor schedule survives restore" test_self_monitor_survives_restore;
+          tc "slo pages survive restore" test_slo_pages_survive_restore;
         ] );
       ( "bus",
         [
