@@ -647,7 +647,9 @@ let simulate_cmd =
           "slo %s: %s (fast burn %.2f, slow burn %.2f, %d/%d good in slow \
            window)\n"
           r.Xy_slo.Slo.r_objective.Xy_slo.Slo.o_name
-          (if r.Xy_slo.Slo.r_breached then "BREACHED" else "ok")
+          (match r.Xy_slo.Slo.r_status with
+          | Xy_slo.Slo.Breached -> "BREACHED"
+          | s -> Xy_slo.Slo.status_word s)
           r.Xy_slo.Slo.r_fast_burn r.Xy_slo.Slo.r_slow_burn
           r.Xy_slo.Slo.r_good r.Xy_slo.Slo.r_total)
       (Xy_system.Xyleme.slo_reports xyleme);

@@ -59,8 +59,8 @@ let run ?parallel ~sites ~days ~subscriptions () =
     | Error e -> failwith (Xy_submgr.Manager.error_to_string e)
   done;
   let notifications = ref [] in
-  Mqp.on_notify (Xyleme.mqp xyleme) (fun n ->
-      notifications := (n.Mqp.url, n.Mqp.complex_id) :: !notifications);
+  Mqp.on_batch (Xyleme.mqp xyleme) (fun a matched ->
+      List.iter (fun id -> notifications := (a.Mqp.url, id) :: !notifications) matched);
   Xyleme.discover xyleme;
   let start = Unix.gettimeofday () in
   Xyleme.run xyleme ~days ~step:(6. *. 3600.) ~fetch_limit:500;

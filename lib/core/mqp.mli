@@ -23,12 +23,6 @@ type alert = {
           (staleness accounting); opaque to the processor *)
 }
 
-type notification = {
-  complex_id : int;
-  url : string;
-  payload : string;
-}
-
 (** The production matchers.  The paper's rejected baselines
     ({!Naive}, {!Counting}) implement {!Matcher.S} for tests and
     benches but are not selectable here. *)
@@ -71,7 +65,7 @@ val unsubscribe : t -> id:int -> unit
 
 (** [process t alert] matches the alert and returns the batch of
     matched complex-event ids (sorted); listeners installed with
-    {!on_notify} receive one notification per match. *)
+    {!on_batch} receive it. *)
 val process : t -> alert -> int list
 
 (** {2 Split matching — the parallel pipeline's surface}
@@ -94,7 +88,7 @@ val match_alert : t -> alert -> int list
 
 (** [dispatch_matched t alert ~matched ~latency] records the per-alert
     instruments (with [latency] as the match-latency sample), updates
-    the lifetime stats and fires the notification/batch listeners for
+    the lifetime stats and fires the batch listeners for
     an externally produced match — then returns [matched].
     Single-threaded: owner/drainer domain only. *)
 val dispatch_matched :
@@ -109,10 +103,6 @@ val iter_complex : t -> (id:int -> Xy_events.Event_set.t -> unit) -> unit
     lifetime — a cheap epoch for invalidating matchers derived with
     {!iter_complex}. *)
 val mutations : t -> int
-
-(** [on_notify t f] installs a notification listener (the Reporter
-    and the Trigger Engine). *)
-val on_notify : t -> (notification -> unit) -> unit
 
 (** [on_batch t f] installs a batch listener: [f alert matched] is
     called once per processed alert with the full (sorted) match list

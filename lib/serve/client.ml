@@ -1,14 +1,26 @@
 (* Supervised wire-protocol client.
 
-   One supervisor thread owns the socket for its whole life: it
-   dials, re-HELLOs under the same client id, replays every request
-   the previous connection left unanswered, pumps inbound events, and
+   One supervisor thread owns the link for its whole life: it dials,
+   re-HELLOs under the same client id, replays every request the
+   previous connection left unanswered, reads inbound events, and
    keeps the link honest with PING/PONG.  Losing the connection — a
    peer reset, an injected fault, an [ERR busy] shed — never
    surfaces to the caller: the supervisor backs off (capped
    exponential with jitter) and dials again.  Exactly-once delivery
    to the [on_report] callback is recovered from the server's
-   at-least-once stream by seq dedup that survives reconnects. *)
+   at-least-once stream by seq dedup that survives reconnects.
+
+   Requests are wake-driven.  [submit] queues its op and writes the
+   frame on the caller's thread at once (under [wmu], which the
+   supervisor's ACK/PING writes take too, so frames never
+   interleave); with no live link the op waits, queued, for the next
+   session's replay.  The caller then sleeps on [cond], which the
+   supervisor broadcasts when it completes an op, connects, loses the
+   link, or is closed.  Caller deadlines ride the supervisor's receive
+   tick: every expired read, and every tick-sized slice of a backoff
+   sleep, broadcasts as well, so a timeout is honoured within one
+   [tick] — but nothing between a request and its verdict waits on
+   one. *)
 
 let log_src = Logs.Src.create "xy.serve.client" ~doc:"Supervised wire client"
 
@@ -54,17 +66,12 @@ type stats = {
   duplicates : int;  (** redeliveries suppressed by seq dedup *)
 }
 
-(* A request the caller is (maybe) blocked on.  [attempts] counts
-   sends across reconnects: a replayed SUBSCRIBE that the server
+(* A request the caller is (maybe) blocked on.  [sends] counts
+   writes across reconnects: a replayed SUBSCRIBE that the server
    already registered comes back as a "duplicate subscription" error,
    which on a retry is success. *)
-type op_kind =
-  | Op_subscribe of string * string  (* owner, text *)
-  | Op_unsubscribe of string
-  | Op_status
-
 type op = {
-  kind : op_kind;
+  req : Frame.request;
   mutable result : (string, string) result option;
   mutable sends : int;
 }
@@ -72,14 +79,15 @@ type op = {
 type t = {
   cfg : config;
   on_report : (report -> unit) option;
-  mu : Mutex.t;
-  pending : op Queue.t;  (* not yet written to the current connection *)
-  inflight : op Queue.t;  (* written, awaiting a reply *)
-  seen : (int, unit) Hashtbl.t;  (* seq dedup, survives reconnects *)
+  mu : Mutex.t;  (* guards everything below but [seen] *)
+  cond : Condition.t;  (* broadcast whenever a waiter may be done *)
+  wmu : Mutex.t;  (* serialises writes to [link]; taken before [mu] *)
+  commands : op Queue.t;  (* unanswered SUBSCRIBE/UNSUBSCRIBE, oldest first *)
+  statuses : op Queue.t;  (* unanswered STATUS, oldest first *)
+  seen : (int, unit) Hashtbl.t;  (* seq dedup, supervisor-only *)
   prng : Prng.t;  (* backoff jitter *)
-  mutable connected : bool;
+  mutable link : Unix.file_descr option;  (* live, welcomed connection *)
   mutable stopped : bool;
-  mutable fd : Unix.file_descr option;  (* owned by the supervisor *)
   mutable thread : Thread.t option;
   mutable st_connects : int;
   mutable st_attempts : int;
@@ -91,19 +99,15 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(* stdlib [Condition] has no timed wait, so every blocking API polls
-   its predicate on a small sleep instead of sleeping on a condvar. *)
-let poll_tick = 0.005
+(* [f] runs under [mu]; everyone sleeping on [cond] then re-checks. *)
+let wake t f =
+  let r = locked t f in
+  Condition.broadcast t.cond;
+  r
 
-let rec poll_until ~deadline p =
-  match p () with
-  | Some v -> Some v
-  | None ->
-      if Unix.gettimeofday () >= deadline then None
-      else begin
-        Thread.delay poll_tick;
-        poll_until ~deadline p
-      end
+(* The supervisor's receive timeout, and the slice its backoff sleeps
+   in: the resolution of every caller deadline. *)
+let tick = 0.05
 
 (* ---- supervisor internals ---- *)
 
@@ -111,56 +115,54 @@ let close_fd_quietly fd =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let write_all fd data =
-  let len = String.length data in
-  let rec go off =
-    if off < len then
-      let n =
-        try Unix.write_substring fd data off (len - off)
-        with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-      in
-      go (off + n)
-  in
-  go 0
+(* [Unix.write] loops until every byte is out or it fails. *)
+let write fd req =
+  let data = Frame.encode_request req in
+  ignore (Unix.write_substring fd data 0 (String.length data))
 
 exception Link_down of string
 
 let send t fd req =
-  try write_all fd (Frame.encode_request req)
-  with Unix.Unix_error (e, _, _) ->
-    ignore t;
-    raise (Link_down (Unix.error_message e))
+  Mutex.lock t.wmu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.wmu) @@ fun () ->
+  try write fd req
+  with Unix.Unix_error (e, _, _) -> raise (Link_down (Unix.error_message e))
+
+(* Write [ops] to [fd] in order; the caller holds [wmu].  A failed
+   write only shuts the socket down: the supervisor's read notices,
+   and the ops, still unanswered, replay on the next session. *)
+let write_ops t fd ops =
+  locked t (fun () -> List.iter (fun op -> op.sends <- op.sends + 1) ops);
+  try List.iter (fun op -> write fd op.req) ops
+  with Unix.Unix_error _ -> (
+    try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
 
 (* The server answers SUBSCRIBE/UNSUBSCRIBE from the pipeline pump
    but STATUS straight from the reader, so replies of the two classes
-   can interleave; within each class order is preserved.  Match a
-   reply to the first inflight op of the matching class. *)
-let take_inflight t which =
-  locked t (fun () ->
-      let rest = Queue.create () in
-      let found = ref None in
-      Queue.iter
-        (fun op ->
-          if !found = None && which op.kind then found := Some op
-          else Queue.push op rest)
-        t.inflight;
-      Queue.clear t.inflight;
-      Queue.transfer rest t.inflight;
-      !found)
-
-let is_command = function
-  | Op_subscribe _ | Op_unsubscribe _ -> true
-  | Op_status -> false
-
-let is_status k = not (is_command k)
+   can interleave; within each class order is preserved. *)
+let queue_of t = function Frame.Status -> t.statuses | _ -> t.commands
 
 let duplicate_prefix = "duplicate subscription: "
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let complete op result = op.result <- Some result
+(* A reply completes the oldest unanswered op of its class and wakes
+   its caller. *)
+let complete t q result =
+  let finish op =
+    op.result <-
+      Some
+        (match (op.req, result) with
+        | Frame.Subscribe _, Error msg
+          when op.sends > 1 && String.starts_with ~prefix:duplicate_prefix msg ->
+            (* the previous connection's SUBSCRIBE did land before the
+               link died; the replay finding it registered is success *)
+            let n = String.length duplicate_prefix in
+            Ok (String.sub msg n (String.length msg - n))
+        | _, r -> r)
+  in
+  if wake t (fun () -> Option.map finish (Queue.take_opt q)) = None then
+    Log.debug (fun m ->
+        m "unmatched reply: %s"
+          (match result with Ok s -> "OK " ^ s | Error e -> "ERR " ^ e))
 
 (* The server poisons a session (ERR, then close) when chaos mangles
    our bytes in flight.  Those ERRs describe the transport, not any
@@ -171,89 +173,87 @@ let poison_prefixes =
   [ "malformed request"; "bad frame header"; "frame length"; "frame checksum" ]
 
 let is_poison msg =
-  List.exists (fun p -> starts_with ~prefix:p msg) poison_prefixes
+  List.exists (fun p -> String.starts_with ~prefix:p msg) poison_prefixes
 
-let handle_command_reply t result =
-  match take_inflight t (fun k -> is_command k) with
-  | None ->
-      Log.debug (fun m ->
-          m "unmatched reply: %s"
-            (match result with Ok s -> "OK " ^ s | Error e -> "ERR " ^ e))
-  | Some op -> (
-      match (op.kind, result) with
-      | Op_subscribe _, Error msg
-        when op.sends > 1 && starts_with ~prefix:duplicate_prefix msg ->
-          (* the previous connection's SUBSCRIBE did land before the
-             link died; the replay finding it registered is success *)
-          complete op (Ok (String.sub msg (String.length duplicate_prefix)
-                             (String.length msg - String.length duplicate_prefix)))
-      | _, r -> complete op r)
+(* The one frame reader, shared by the handshake and the session:
+   the next whole event after at most one read, or [None].  A read
+   that hits the receive tick wakes every waiter to re-check its
+   deadline.  Raises [Link_down] on any read or framing failure. *)
+let next_event t fd dec buf =
+  let decode () =
+    match Frame.next dec with
+    | Ok None -> None
+    | Ok (Some payload) -> (
+        match Frame.decode_event payload with
+        | Ok ev -> Some ev
+        | Error msg -> raise (Link_down ("malformed event: " ^ msg)))
+    | Error e -> raise (Link_down (Frame.error_to_string e))
+  in
+  match decode () with
+  | Some ev -> Some ev
+  | None -> (
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | exception
+          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+          Condition.broadcast t.cond;
+          None
+      | exception Unix.Unix_error (e, _, _) ->
+          raise (Link_down (Unix.error_message e))
+      | 0 -> raise (Link_down "connection closed by server")
+      | n ->
+          Frame.feed dec (Bytes.sub_string buf 0 n);
+          decode ())
 
-(* Dial + handshake.  Returns the connected fd, or the number of
-   seconds the server asked us to stay away ([ERR busy]). *)
-let dial t =
+(* Dial + handshake.  Returns the connected fd and its decoder, or
+   the number of seconds the server asked us to stay away
+   ([ERR busy]). *)
+let dial t buf =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  try
-    Unix.connect fd
-      (Unix.ADDR_INET (Unix.inet_addr_of_string t.cfg.host, t.cfg.port));
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.05;
-    write_all fd (Frame.encode_request (Frame.Hello t.cfg.id));
-    let dec = Frame.decoder ~max_frame:t.cfg.max_frame () in
-    let buf = Bytes.create 4096 in
-    let deadline = Unix.gettimeofday () +. 5. in
-    let rec await () =
-      match Frame.next dec with
-      | Ok (Some payload) -> (
-          match Frame.decode_event payload with
-          | Ok (Frame.Welcome pending) -> `Connected pending
-          | Ok (Frame.Err msg) when starts_with ~prefix:"busy" msg -> (
-              (* admission shed: honor the retry hint *)
-              match String.index_opt msg '=' with
-              | Some i -> (
-                  match
-                    float_of_string_opt
-                      (String.sub msg (i + 1) (String.length msg - i - 1))
-                  with
-                  | Some h when h > 0. -> `Busy h
-                  | _ -> `Busy 1.)
-              | None -> `Busy 1.)
-          | Ok _ -> await ()
-          | Error msg -> `Failed msg)
-      | Ok None ->
-          if Unix.gettimeofday () >= deadline then `Failed "handshake timeout"
-          else (
-            match Unix.read fd buf 0 (Bytes.length buf) with
-            | exception
-                Unix.Unix_error
-                  ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-                await ()
-            | exception Unix.Unix_error (e, _, _) ->
-                `Failed (Unix.error_message e)
-            | 0 -> `Failed "closed during handshake"
-            | n ->
-                Frame.feed dec (Bytes.sub_string buf 0 n);
-                await ())
-      | Error e -> `Failed (Frame.error_to_string e)
-    in
-    match await () with
-    | `Connected pending ->
-        Log.debug (fun m ->
-            m "connected to %s:%d (%d pending)" t.cfg.host t.cfg.port pending);
-        Ok (fd, dec)
-    | `Busy hint ->
+  let dec = Frame.decoder ~max_frame:t.cfg.max_frame () in
+  let deadline = Unix.gettimeofday () +. 5. in
+  let rec await () =
+    match next_event t fd dec buf with
+    | Some (Frame.Welcome pending) -> `Connected pending
+    | Some (Frame.Err msg) when String.starts_with ~prefix:"busy" msg -> (
+        (* admission shed: honor the retry hint *)
+        match String.split_on_char '=' msg with
+        | [ _; h ] -> (
+            match float_of_string_opt h with Some h when h > 0. -> `Busy h | _ -> `Busy 1.)
+        | _ -> `Busy 1.)
+    | Some _ -> await ()
+    | None ->
+        if t.stopped || Unix.gettimeofday () >= deadline then
+          `Failed "handshake timeout"
+        else await ()
+  in
+  let verdict =
+    try
+      Unix.connect fd
+        (Unix.ADDR_INET (Unix.inet_addr_of_string t.cfg.host, t.cfg.port));
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true
+       with Unix.Unix_error _ -> ());
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO tick;
+      write fd (Frame.Hello t.cfg.id);
+      await ()
+    with
+    | Unix.Unix_error (e, _, _) -> `Failed (Unix.error_message e)
+    | Link_down msg -> `Failed msg
+    | e ->
         close_fd_quietly fd;
-        Error (`Busy hint)
-    | `Failed msg ->
-        close_fd_quietly fd;
-        Error (`Failed msg)
-  with
-  | Unix.Unix_error (e, _, _) ->
+        raise e
+  in
+  match verdict with
+  | `Connected pending ->
+      Log.debug (fun m ->
+          m "connected to %s:%d (%d pending)" t.cfg.host t.cfg.port pending);
+      Ok (fd, dec)
+  | `Busy hint ->
       close_fd_quietly fd;
-      Error (`Failed (Unix.error_message e))
-  | e ->
+      Error (`Busy hint)
+  | `Failed msg ->
       close_fd_quietly fd;
-      raise e
+      Error (`Failed msg)
 
 let handle_event t fd ev =
   match ev with
@@ -274,47 +274,28 @@ let handle_event t fd ev =
         | None -> ()
       end;
       send t fd (Frame.Ack r.seq)
-  | Frame.Okay name -> handle_command_reply t (Ok name)
+  | Frame.Okay name -> complete t t.commands (Ok name)
   | Frame.Err msg when is_poison msg -> raise (Link_down ("poisoned: " ^ msg))
-  | Frame.Err msg -> handle_command_reply t (Error msg)
-  | Frame.Status_reply xml -> (
-      match take_inflight t (fun k -> is_status k) with
-      | Some op -> complete op (Ok xml)
-      | None -> ())
-  | Frame.Pong _ -> ()  (* liveness handled by the session loop *)
-  | Frame.Welcome _ -> ()
+  | Frame.Err msg -> complete t t.commands (Error msg)
+  | Frame.Status_reply xml -> complete t t.statuses (Ok xml)
+  | Frame.Pong _ | Frame.Welcome _ -> ()
 
-(* One connected session: replay unanswered ops, then pump until the
-   link dies.  Raises [Link_down] on any failure. *)
-let session t fd dec =
-  (* everything the old connection left unanswered goes first, in
-     order, ahead of newly queued ops *)
-  locked t (fun () ->
-      let replay = Queue.create () in
-      Queue.transfer t.inflight replay;
-      Queue.transfer t.pending replay;
-      Queue.transfer replay t.pending);
-  let buf = Bytes.create 8192 in
+(* One connected session: publish the link and replay everything the
+   old connection left unanswered — in order, and before any new
+   submit can write — then read until the link dies.  Raises
+   [Link_down] on any failure. *)
+let session t fd dec buf =
+  Mutex.lock t.wmu;
+  let replay =
+    wake t (fun () ->
+        t.link <- Some fd;
+        t.st_connects <- t.st_connects + 1;
+        List.of_seq (Seq.append (Queue.to_seq t.commands) (Queue.to_seq t.statuses)))
+  in
+  write_ops t fd replay;
+  Mutex.unlock t.wmu;
   let last_ping = ref (Unix.gettimeofday ()) in
   let awaiting_pong = ref None in
-  let flush_pending () =
-    let ops =
-      locked t (fun () ->
-          let ops = List.of_seq (Queue.to_seq t.pending) in
-          Queue.clear t.pending;
-          List.iter (fun op -> Queue.push op t.inflight) ops;
-          ops)
-    in
-    List.iter
-      (fun op ->
-        op.sends <- op.sends + 1;
-        send t fd
-          (match op.kind with
-          | Op_subscribe (owner, text) -> Frame.Subscribe { owner; text }
-          | Op_unsubscribe name -> Frame.Unsubscribe name
-          | Op_status -> Frame.Status))
-      ops
-  in
   let maybe_ping () =
     let now = Unix.gettimeofday () in
     (match !awaiting_pong with
@@ -332,40 +313,13 @@ let session t fd dec =
       send t fd (Frame.Ping (string_of_float now))
     end
   in
-  let rec drain () =
-    match Frame.next dec with
-    | Ok None -> ()
-    | Ok (Some payload) -> (
-        match Frame.decode_event payload with
-        | Ok (Frame.Pong _) ->
-            awaiting_pong := None;
-            drain ()
-        | Ok ev ->
-            handle_event t fd ev;
-            drain ()
-        | Error msg -> raise (Link_down ("malformed event: " ^ msg)))
-    | Error e -> raise (Link_down (Frame.error_to_string e))
-  in
-  let rec loop () =
-    if t.stopped then ()
-    else begin
-      flush_pending ();
-      maybe_ping ();
-      (match Unix.read fd buf 0 (Bytes.length buf) with
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error (e, _, _) ->
-          raise (Link_down (Unix.error_message e))
-      | 0 -> raise (Link_down "connection closed by server")
-      | n ->
-          Frame.feed dec (Bytes.sub_string buf 0 n);
-          drain ());
-      loop ()
-    end
-  in
-  loop ()
+  while not t.stopped do
+    maybe_ping ();
+    match next_event t fd dec buf with
+    | Some (Frame.Pong _) -> awaiting_pong := None
+    | Some ev -> handle_event t fd ev
+    | None -> ()
+  done
 
 let backoff_delay t n =
   let base =
@@ -376,37 +330,50 @@ let backoff_delay t n =
   (* uniform in [base*(1-j), base*(1+j)] *)
   base *. (1. -. j +. Prng.float t.prng (2. *. j))
 
+(* Stay away for [d] seconds in tick-sized slices, waking waiters
+   after each so their deadlines hold while the link is down. *)
+let pause t d =
+  let until = Unix.gettimeofday () +. d in
+  let rec go () =
+    let left = until -. Unix.gettimeofday () in
+    if left > 0. && not t.stopped then begin
+      Thread.delay (Float.min tick left);
+      Condition.broadcast t.cond;
+      go ()
+    end
+  in
+  go ()
+
 let supervisor t =
+  let buf = Bytes.create 8192 in
   let failures = ref 0 in
   while not t.stopped do
     locked t (fun () -> t.st_attempts <- t.st_attempts + 1);
-    match dial t with
+    match dial t buf with
     | Ok (fd, dec) ->
         failures := 0;
-        locked t (fun () ->
-            t.fd <- Some fd;
-            t.connected <- true;
-            t.st_connects <- t.st_connects + 1);
-        (try session t fd dec with
+        (try session t fd dec buf with
         | Link_down reason ->
             if not t.stopped then
               Log.info (fun m -> m "link down (%s), reconnecting" reason)
         | e ->
             Log.warn (fun m ->
                 m "session error: %s" (Printexc.to_string e)));
-        locked t (fun () ->
-            t.fd <- None;
-            t.connected <- false);
-        close_fd_quietly fd
+        (* unblock any submit mid-write before waiting for [wmu] *)
+        (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+        Mutex.lock t.wmu;
+        wake t (fun () -> t.link <- None);
+        close_fd_quietly fd;
+        Mutex.unlock t.wmu
     | Error (`Busy hint) ->
         Log.info (fun m -> m "shed by server, retrying in %gs" hint);
-        if not t.stopped then Thread.delay hint
+        pause t hint
     | Error (`Failed reason) ->
         let d = backoff_delay t !failures in
         incr failures;
         Log.debug (fun m ->
             m "dial failed (%s), retrying in %.3fs" reason d);
-        if not t.stopped then Thread.delay d
+        pause t d
   done
 
 (* ---- public API ---- *)
@@ -417,13 +384,14 @@ let connect ?on_report cfg =
       cfg;
       on_report;
       mu = Mutex.create ();
-      pending = Queue.create ();
-      inflight = Queue.create ();
+      cond = Condition.create ();
+      wmu = Mutex.create ();
+      commands = Queue.create ();
+      statuses = Queue.create ();
       seen = Hashtbl.create 256;
       prng = Prng.create ~seed:cfg.seed;
-      connected = false;
+      link = None;
       stopped = false;
-      fd = None;
       thread = None;
       st_connects = 0;
       st_attempts = 0;
@@ -434,28 +402,47 @@ let connect ?on_report cfg =
   t.thread <- Some (Thread.create supervisor t);
   t
 
-let wait_connected ?(timeout = 5.) t =
+(* Sleep on [cond] until [ready ()] (checked under [mu]) holds, the
+   client is closed, or [timeout] passes. *)
+let await t ~timeout ready =
   let deadline = Unix.gettimeofday () +. timeout in
-  poll_until ~deadline (fun () -> if t.connected then Some () else None)
-  <> None
+  locked t (fun () ->
+      let rec go () =
+        match ready () with
+        | Some v -> Some v
+        | None when t.stopped || Unix.gettimeofday () >= deadline -> None
+        | None ->
+            Condition.wait t.cond t.mu;
+            go ()
+      in
+      go ())
 
-let submit t kind ~timeout =
-  let op = { kind; result = None; sends = 0 } in
-  locked t (fun () -> Queue.push op t.pending);
-  let deadline = Unix.gettimeofday () +. timeout in
-  match poll_until ~deadline (fun () -> op.result) with
+let wait_connected ?(timeout = 5.) t =
+  await t ~timeout (fun () -> Option.map ignore t.link) <> None
+
+let submit t req ~timeout =
+  let op = { req; result = None; sends = 0 } in
+  Mutex.lock t.wmu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.wmu) (fun () ->
+      let link =
+        locked t (fun () ->
+            Queue.push op (queue_of t req);
+            t.link)
+      in
+      Option.iter (fun fd -> write_ops t fd [ op ]) link);
+  match await t ~timeout (fun () -> op.result) with
   | Some r -> r
   | None -> Error "timeout"
 
 let subscribe ?(timeout = 10.) t ~owner ~text =
-  submit t (Op_subscribe (owner, text)) ~timeout
+  submit t (Frame.Subscribe { owner; text }) ~timeout
 
 let unsubscribe ?(timeout = 10.) t name =
-  submit t (Op_unsubscribe name) ~timeout
+  submit t (Frame.Unsubscribe name) ~timeout
 
-let status ?(timeout = 10.) t = submit t Op_status ~timeout
+let status ?(timeout = 10.) t = submit t Frame.Status ~timeout
 
-let connected t = t.connected
+let connected t = t.link <> None
 
 let stats t =
   locked t (fun () ->
@@ -469,8 +456,7 @@ let stats t =
 
 let close t =
   if not t.stopped then begin
-    t.stopped <- true;
-    (match locked t (fun () -> t.fd) with
+    (match wake t (fun () -> t.stopped <- true; t.link) with
     | Some fd -> (
         try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
     | None -> ());

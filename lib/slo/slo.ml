@@ -31,6 +31,13 @@ type objective = {
 
 type sample = { s_at : float; s_total : int; s_good : int }
 
+type status = Met | Breached | Unknown
+
+let status_word = function
+  | Met -> "ok"
+  | Breached -> "breached"
+  | Unknown -> "unknown"
+
 type report = {
   r_objective : objective;
   r_at : float;
@@ -38,7 +45,7 @@ type report = {
   r_good : int;
   r_fast_burn : float;
   r_slow_burn : float;
-  r_breached : bool;
+  r_status : status;
 }
 
 type state = {
@@ -145,8 +152,11 @@ let evaluate_state state ~now =
   in
   let fast_burn = burn ~target:o.o_target ~total:fast_total ~good:fast_good in
   let slow_burn = burn ~target:o.o_target ~total:slow_total ~good:slow_good in
-  let breached =
-    fast_total > 0 && fast_burn >= o.o_burn_limit && slow_burn >= o.o_burn_limit
+  let status =
+    if fast_total <= 0 then Unknown
+    else if fast_burn >= o.o_burn_limit && slow_burn >= o.o_burn_limit then
+      Breached
+    else Met
   in
   let report =
     {
@@ -156,7 +166,7 @@ let evaluate_state state ~now =
       r_good = slow_good;
       r_fast_burn = fast_burn;
       r_slow_burn = slow_burn;
-      r_breached = breached;
+      r_status = status;
     }
   in
   state.last <- Some report;
@@ -286,13 +296,14 @@ let json_float v = Printf.sprintf "%.6g" v
 let report_to_json r =
   let o = r.r_objective in
   Printf.sprintf
-    "{\"name\":\"%s\",\"stage\":\"%s\",\"metric\":\"%s\",\"threshold\":%s,\"target\":%s,\"fast_window\":%s,\"slow_window\":%s,\"burn_limit\":%s,\"at\":%s,\"total\":%d,\"good\":%d,\"fast_burn\":%s,\"slow_burn\":%s,\"breached\":%b}"
+    "{\"name\":\"%s\",\"stage\":\"%s\",\"metric\":\"%s\",\"threshold\":%s,\"target\":%s,\"fast_window\":%s,\"slow_window\":%s,\"burn_limit\":%s,\"at\":%s,\"total\":%d,\"good\":%d,\"fast_burn\":%s,\"slow_burn\":%s,\"status\":\"%s\",\"breached\":%b}"
     (Json.escape o.o_name) (Json.escape o.o_stage) (Json.escape o.o_metric)
     (json_float o.o_threshold) (json_float o.o_target)
     (json_float o.o_fast_window)
     (json_float o.o_slow_window)
     (json_float o.o_burn_limit) (json_float r.r_at) r.r_total r.r_good
-    (json_float r.r_fast_burn) (json_float r.r_slow_burn) r.r_breached
+    (json_float r.r_fast_burn) (json_float r.r_slow_burn)
+    (status_word r.r_status) (r.r_status = Breached)
 
 let reports_to_json reports =
   "[" ^ String.concat "," (List.map report_to_json reports) ^ "]"

@@ -27,6 +27,14 @@ type objective = {
   o_burn_limit : float;  (** breach when both windows burn >= this *)
 }
 
+(** [Unknown] when the fast window holds no samples — no traffic yet,
+    or a warm restart whose engine has not sampled twice — so there is
+    nothing to judge. *)
+type status = Met | Breached | Unknown
+
+(** ["ok"], ["breached"], ["unknown"]. *)
+val status_word : status -> string
+
 type report = {
   r_objective : objective;
   r_at : float;
@@ -34,7 +42,7 @@ type report = {
   r_good : int;
   r_fast_burn : float;
   r_slow_burn : float;
-  r_breached : bool;
+  r_status : status;
 }
 
 type t

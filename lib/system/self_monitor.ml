@@ -26,6 +26,10 @@ let value_text v =
 
 let float_attr v = Printf.sprintf "%.6g" v
 
+(* Seconds with millisecond resolution: [%g] would print a wall-clock
+   stamp as [1.79228e+09]. *)
+let time_attr at = Printf.sprintf "%.3f" at
+
 (* A histogram adds to its sample count the sum, max and quantile
    estimates (0 while empty) and one [<bucket>] child per non-empty
    bucket ([le="+inf"] for the overflow bucket). *)
@@ -68,7 +72,7 @@ let health_document ~snapshot =
       snapshot.Obs.Snapshot.entries
   in
   T.element "health"
-    ~attrs:[ ("at", Printf.sprintf "%g" snapshot.Obs.Snapshot.at) ]
+    ~attrs:[ ("at", time_attr snapshot.Obs.Snapshot.at) ]
     children
 
 let traces_document tracer =
@@ -102,8 +106,7 @@ let traces_document tracer =
    watch any other page. *)
 let slo_url name = Printf.sprintf "xyleme://self/slo/%s.xml" name
 
-let slo_status (r : Xy_slo.Slo.report) =
-  if r.Xy_slo.Slo.r_breached then "breached" else "ok"
+let slo_status (r : Xy_slo.Slo.report) = Xy_slo.Slo.status_word r.Xy_slo.Slo.r_status
 
 let slo_document (r : Xy_slo.Slo.report) =
   let o = r.Xy_slo.Slo.r_objective in
@@ -111,7 +114,7 @@ let slo_document (r : Xy_slo.Slo.report) =
     ~attrs:
       [
         ("name", o.Xy_slo.Slo.o_name);
-        ("at", Printf.sprintf "%g" r.Xy_slo.Slo.r_at);
+        ("at", time_attr r.Xy_slo.Slo.r_at);
         ("objective", Printf.sprintf "%g of %s/%s within %gs"
            o.Xy_slo.Slo.o_target o.Xy_slo.Slo.o_stage o.Xy_slo.Slo.o_metric
            o.Xy_slo.Slo.o_threshold);

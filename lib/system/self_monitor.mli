@@ -55,7 +55,8 @@ val slo_url : string -> string
 (** [slo_document report] is a [<slo>] element whose [<status>] child
     carries the word [breached] or [ok] (the word alerting
     subscriptions test with [contains]), plus burn rates and window
-    tallies with decade markers. *)
+    tallies with decade markers.  Its [at] attribute, like
+    {!health_document}'s, is in seconds with millisecond resolution. *)
 val slo_document : Xy_slo.Slo.report -> Xy_xml.Types.element
 
 (** [slo_changed ~stored report] is [true] when the [<status>] word of

@@ -1078,7 +1078,9 @@ let slo_reports t =
    stored: health and traces once the clock has crossed a multiple of
    the period since the copy was loaded (one injection even after a
    long jump: they describe the present); an SLO page when the copy's
-   [<status>] word differs from the engine's latest report. *)
+   [<status>] word differs from the engine's latest report, unless
+   that report is [Unknown] (an empty fast window judges nothing: a
+   warm restart must not flip a breached page to ok). *)
 let inject_self_documents t =
   let now = Xy_util.Clock.now t.clock in
   let stored url = Store.find t.store url in
@@ -1105,12 +1107,14 @@ let inject_self_documents t =
     let copy =
       Option.bind (stored url) (fun e -> Option.map Xy_xml.Xid.strip e.Store.tree)
     in
-    if not (Self_monitor.slo_changed ~stored:copy r) then None
+    if r.Slo.r_status = Slo.Unknown
+       || not (Self_monitor.slo_changed ~stored:copy r)
+    then None
     else begin
-      (if r.Slo.r_breached then Log.warn else Log.info) (fun m ->
+      (if r.Slo.r_status = Slo.Breached then Log.warn else Log.info) (fun m ->
           m "SLO %s %s: fast burn %.2f, slow burn %.2f"
             r.Slo.r_objective.Slo.o_name
-            (if r.Slo.r_breached then "breached" else "ok")
+            (Slo.status_word r.Slo.r_status)
             r.Slo.r_fast_burn r.Slo.r_slow_burn);
       Some (doc url (fun () -> Self_monitor.slo_document r))
     end

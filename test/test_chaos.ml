@@ -454,6 +454,90 @@ let test_supervised_client_forced_drop_resume () =
   checkb "deduped multiset equals the uninterrupted baseline" true
     (got = baseline_reports 10)
 
+(* The client contract a rewrite must keep: a request leaves when it
+   is submitted and its reply wakes the caller, while caller deadlines
+   hold within one supervisor receive tick (50 ms) even when no reply
+   or no connection ever comes.  [slack] absorbs scheduling noise. *)
+let client_tick = 0.05
+let slack = 0.1
+
+let with_client ?(backoff_initial = 0.01) port f =
+  let client =
+    Client.connect
+      (Client.config ~port ~id:"u0" ~backoff_initial ~ping_interval:0. ())
+  in
+  Fun.protect ~finally:(fun () -> Client.close client) (fun () -> f client)
+
+let elapsed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let test_client_verdicts_are_prompt () =
+  with_config (Serve.config ~port:0 ()) @@ fun s port _ ->
+  let stop = Atomic.make false in
+  let pumper =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          ignore (Serve.pump s);
+          Thread.delay 0.0005
+        done)
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Atomic.set stop true; Thread.join pumper)
+  @@ fun () ->
+  with_client port @@ fun client ->
+  checkb "connected" true (Client.wait_connected client);
+  let verdicts, dt =
+    elapsed (fun () ->
+        List.init 20 (fun i ->
+            Client.subscribe ~timeout:5. client ~owner:(string_of_int i)
+              ~text:"s"))
+  in
+  checkb "every verdict is Ok" true
+    (verdicts = List.init 20 (fun i -> Ok ("W" ^ string_of_int i)));
+  checkb
+    (Printf.sprintf "20 sequential verdicts in %.0f ms (< 400 ms)" (dt *. 1000.))
+    true (dt < 0.4)
+
+let test_client_timeout_unpumped () =
+  with_config (Serve.config ~port:0 ()) @@ fun _ port _ ->
+  with_client port @@ fun client ->
+  checkb "connected" true (Client.wait_connected client);
+  let r, dt =
+    elapsed (fun () -> Client.subscribe ~timeout:0.3 client ~owner:"u0" ~text:"s")
+  in
+  checkb "no verdict from an unpumped server" true (r = Error "timeout");
+  checkb
+    (Printf.sprintf "timed out after %.0f ms" (dt *. 1000.))
+    true
+    (dt >= 0.3 && dt < 0.3 +. client_tick +. slack)
+
+let test_client_wait_connected_in_backoff () =
+  (* a port nobody listens on: bind an ephemeral one, then free it *)
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  Unix.close sock;
+  with_client ~backoff_initial:2. port @@ fun client ->
+  let ok, dt = elapsed (fun () -> Client.wait_connected ~timeout:0.3 client) in
+  checkb "never connects" false ok;
+  checkb
+    (Printf.sprintf "gave up after %.0f ms" (dt *. 1000.))
+    true
+    (dt >= 0.3 && dt < 0.3 +. client_tick +. slack);
+  checkb "still dialling" true ((Client.stats client).Client.attempts >= 1)
+
+let test_client_status_round_trip () =
+  with_config (Serve.config ~port:0 ()) @@ fun _ port _ ->
+  with_client port @@ fun client ->
+  checkb "connected" true (Client.wait_connected client);
+  checkb "STATUS returns the health XML" true
+    (Client.status ~timeout:5. client = Ok "<health/>")
+
 (* qcheck: any random drop/delay schedule converges to the full set *)
 let qcheck_random_drop_schedules =
   QCheck.Test.make ~name:"random drop schedules always converge" ~count:5
@@ -658,6 +742,13 @@ let () =
           tc "forced drop: resume dedups to baseline"
             test_supervised_client_forced_drop_resume;
           qc qcheck_random_drop_schedules;
+          tc "20 sequential verdicts are prompt"
+            test_client_verdicts_are_prompt;
+          tc "timeout holds against an unpumped server"
+            test_client_timeout_unpumped;
+          tc "wait_connected times out during backoff"
+            test_client_wait_connected_in_backoff;
+          tc "status round trip" test_client_status_round_trip;
         ] );
       ( "system",
         [

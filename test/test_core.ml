@@ -509,7 +509,8 @@ let test_mqp_notifications () =
   Mqp.subscribe mqp ~id:1 (Event_set.of_list [ 10; 20 ]);
   Mqp.subscribe mqp ~id:2 (Event_set.of_list [ 20 ]);
   let received = ref [] in
-  Mqp.on_notify mqp (fun n -> received := n :: !received);
+  Mqp.on_batch mqp (fun alert matched ->
+      List.iter (fun id -> received := (id, alert) :: !received) matched);
   let matched =
     Mqp.process mqp
       { Mqp.url = "http://inria.fr/Xy/"; events = Event_set.of_list [ 10; 20; 30 ];
@@ -518,9 +519,9 @@ let test_mqp_notifications () =
   check_ids "batch" [ 1; 2 ] matched;
   checki "two notifications" 2 (List.length !received);
   List.iter
-    (fun n ->
-      Alcotest.(check string) "url" "http://inria.fr/Xy/" n.Mqp.url;
-      Alcotest.(check string) "payload forwarded" "<UpdatedPage/>" n.Mqp.payload)
+    (fun (_, (a : Mqp.alert)) ->
+      Alcotest.(check string) "url" "http://inria.fr/Xy/" a.url;
+      Alcotest.(check string) "payload forwarded" "<UpdatedPage/>" a.payload)
     !received
 
 let test_mqp_stats () =

@@ -631,9 +631,8 @@ let distributed_run ~rate () =
     | Error e -> Alcotest.fail (Manager.error_to_string e)
   done;
   let notifs = ref [] in
-  Xy_core.Mqp.on_notify (Xyleme.mqp xyleme) (fun n ->
-      notifs :=
-        (n.Xy_core.Mqp.url, n.Xy_core.Mqp.complex_id) :: !notifs);
+  Xy_core.Mqp.on_batch (Xyleme.mqp xyleme) (fun a matched ->
+      List.iter (fun id -> notifs := (a.Xy_core.Mqp.url, id) :: !notifs) matched);
   Xyleme.run xyleme ~days:7. ~step:(6. *. 3600.) ~fetch_limit:100;
   let fault name = Obs.Snapshot.counter_value (Obs.snapshot obs) ~stage:"fault" name in
   ( List.sort compare !notifs,

@@ -197,6 +197,32 @@ let test_renderers_smoke () =
             "one non-empty bucket" 1
             (List.length (T.children_elements h)))
 
+(* Both self documents stamp [at] at millisecond resolution, also for
+   a wall-clock-sized time ([%g] would print 1.79228e+09). *)
+let test_self_document_timestamps () =
+  let module T = Xy_xml.Types in
+  let module Self_monitor = Xy_system.Self_monitor in
+  let at = 1_792_280_123.4567 in
+  let stamp doc =
+    match T.attr doc "at" with
+    | Some s -> Option.value ~default:nan (float_of_string_opt s)
+    | None -> Alcotest.fail "no at attribute"
+  in
+  let within_ms what got =
+    checkb (Printf.sprintf "%s at=%f within 1 ms of %f" what got at) true
+      (Float.abs (got -. at) <= 1e-3)
+  in
+  let snapshot = { Obs.Snapshot.empty with Obs.Snapshot.at } in
+  within_ms "health" (stamp (Self_monitor.health_document ~snapshot));
+  let objective =
+    match Xy_slo.Slo.parse "t:s/lag<=1:0.9:1h/2h" with
+    | Ok o -> o
+    | Error e -> Alcotest.fail e
+  in
+  match Xy_slo.Slo.tick (Xy_slo.Slo.create [ objective ]) ~now:at snapshot with
+  | [ r ] -> within_ms "slo" (stamp (Self_monitor.slo_document r))
+  | _ -> Alcotest.fail "expected one slo report"
+
 let test_timer_clamp () =
   (* Regression: the default [Sys.time] timer measures CPU seconds,
      so a wall-clock installed mid-run (or an NTP step) can make
@@ -370,6 +396,7 @@ let () =
           tc "merge gauge/histogram" test_merge_gauge_and_histogram;
           tc "reset" test_reset;
           tc "renderers" test_renderers_smoke;
+          tc "self document timestamps" test_self_document_timestamps;
         ] );
       ( "domains",
         [

@@ -171,10 +171,11 @@ let run_workload ?fault_plan ?parallel ?algorithm ~rounds () =
   let obs = Obs.create () in
   let t, web = make_system ?fault_plan ?parallel ?algorithm ~sink ~obs () in
   let notifs = ref [] in
-  Mqp.on_notify (Xyleme.mqp t) (fun n ->
-      notifs :=
-        Printf.sprintf "%d|%s|%s" n.Mqp.complex_id n.Mqp.url n.Mqp.payload
-        :: !notifs);
+  Mqp.on_batch (Xyleme.mqp t) (fun a matched ->
+      List.iter
+        (fun id ->
+          notifs := Printf.sprintf "%d|%s|%s" id a.Mqp.url a.Mqp.payload :: !notifs)
+        matched);
   for _round = 1 to rounds do
     Xyleme.ingest_batch t (fetch_batch web @ [ broken_doc ]);
     Xy_util.Clock.advance (Xyleme.clock t) 3600.;

@@ -86,7 +86,7 @@ let harness () =
 
 let breached reports =
   match reports with
-  | [ r ] -> r.Slo.r_breached
+  | [ r ] -> r.Slo.r_status = Slo.Breached
   | _ -> Alcotest.fail "expected exactly one report"
 
 let test_all_good_never_breaches () =
@@ -143,7 +143,9 @@ let test_no_samples_no_breach () =
   let obs, _, slo = harness () in
   (* A metric with no traffic must not divide by zero or breach. *)
   let reports = Slo.tick slo ~now:hour (Obs.snapshot obs) in
-  checkb "empty is healthy" false (breached reports);
+  checkb "empty is not breached" false (breached reports);
+  checkb "empty is unknown" true
+    (List.map (fun r -> r.Slo.r_status) reports = [ Slo.Unknown ]);
   (* [reports] remembers the last evaluation for the /slo endpoint. *)
   checki "remembered" 1 (List.length (Slo.reports slo))
 

@@ -708,7 +708,7 @@ report when immediate|});
   (* The engine judged the objective breached... *)
   (match Xyleme.slo_reports t with
   | [ r ] ->
-      checkb "objective breached" true r.Slo.r_breached;
+      checkb "objective breached" true (r.Slo.r_status = Slo.Breached);
       checkb "burning hard" true (r.Slo.r_fast_burn >= 1.)
   | _ -> Alcotest.fail "expected one slo report");
   (* ...and the ordinary subscription saw the injected document. *)
@@ -908,7 +908,7 @@ report when immediate|})
   watcher baseline;
   run baseline 6.;
   (match Xyleme.slo_reports baseline with
-  | [ r ] -> checkb "objective never breached" false r.Slo.r_breached
+  | [ r ] -> checkb "objective never breached" false (r.Slo.r_status = Slo.Breached)
   | _ -> Alcotest.fail "expected one slo report");
   with_temp_dir @@ fun dir ->
   let sink1, deliveries1 = Sink.memory () in
@@ -932,6 +932,74 @@ report when immediate|})
       checki "watcher reports equal the uninterrupted run's"
         (List.length (watched !deliveries))
         (List.length (watched (!deliveries1 @ !deliveries2)))
+
+(* A warm restart starts the SLO engine with no samples, so its first
+   evaluation has an empty fast window.  That must read as unknown and
+   inject nothing: the stored page of an objective breached from the
+   first judged window on never reads ok, killed run or not. *)
+let test_slo_restart_keeps_breached () =
+  let fresh_web () = Web.generate ~seed:5 ~sites:3 ~pages_per_site:4 () in
+  (* a threshold under the first bucket bound (1 s): no sample is
+     ever good, so every judged window is breached *)
+  let impossible =
+    {
+      Slo.o_name = "fresh";
+      o_stage = "crawler";
+      o_metric = "detection_lag";
+      o_threshold = 0.5;
+      o_target = 0.9;
+      o_fast_window = 86_400.;
+      o_slow_window = 2. *. 86_400.;
+      o_burn_limit = 1.;
+    }
+  in
+  (* the stored page's status word after each step, repeats dropped *)
+  let statuses = ref [] in
+  let step_to t steps =
+    while Xyleme.steps_done t < steps do
+      Xyleme.run_resumable t
+        ~days:(float_of_int (Xyleme.steps_done t + 1) /. 4.)
+        ~step:day_step ~fetch_limit:50;
+      let stored =
+        Xy_warehouse.Store.find (Xyleme.store t)
+          (Xy_system.Self_monitor.slo_url "fresh")
+      in
+      match Option.bind stored (fun e -> e.Xy_warehouse.Store.tree) with
+      | None -> ()
+      | Some page ->
+          let status =
+            List.find_map
+              (fun c ->
+                if c.T.tag = "status" then Some (String.trim (T.text_content c))
+                else None)
+              (T.children_elements (Xy_xml.Xid.strip page))
+          in
+          if Some status <> List.nth_opt !statuses 0 then
+            statuses := status :: !statuses
+    done
+  in
+  with_temp_dir @@ fun dir ->
+  let sink1, _ = Sink.memory () in
+  let x =
+    Xyleme.create ~seed:5 ~sink:sink1 ~web:(fresh_web ())
+      ~slos:[ impossible ] ~durable_dir:dir ()
+  in
+  step_to x 12;
+  Fault.arm_after (Xyleme.faults x) "crash" 1;
+  (try step_to x 24 with Fault.Crash _ -> ());
+  checki "killed after 12 steps" 12 (Xyleme.steps_done x);
+  let sink2, _ = Sink.memory () in
+  match
+    Xyleme.restore ~seed:5 ~sink:sink2 ~web:(fresh_web ())
+      ~slos:[ impossible ] ~dir ()
+  with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok (x', _) ->
+      step_to x' 24;
+      checki "steps" 24 (Xyleme.steps_done x');
+      Alcotest.(check (list (option string)))
+        "stored status sequence never passes through ok"
+        [ Some "breached" ] (List.rev !statuses)
 
 (* ------------------------------------------------------------------ *)
 (* Bus *)
@@ -1050,6 +1118,8 @@ let () =
           tc "restore rejects a bad self-monitor period" test_restore_rejects_bad_period;
           tc "self-monitor schedule survives restore" test_self_monitor_survives_restore;
           tc "slo pages survive restore" test_slo_pages_survive_restore;
+          tc "slo restart keeps a breach breached"
+            test_slo_restart_keeps_breached;
         ] );
       ( "bus",
         [
